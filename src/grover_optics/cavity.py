@@ -45,7 +45,6 @@ from .fields import (
     gaussian_input,
     idft_centered,
     parity_flip,
-    total_energy,
 )
 
 __all__ = [
@@ -310,19 +309,3 @@ def pulse_train(
         for row, count in enumerate(trace.iteration_counts)
     ]
 
-
-def _self_test() -> None:  # pragma: no cover - manual sanity check
-    plate = TrapezoidPhasePlate(center=0.15e-3, flat_width=42e-6,
-                                ramp_width=4e-6, phase_depth=-1.1)
-    iaa = TrapezoidPhasePlate(center=0.0, flat_width=136e-6,
-                              ramp_width=8e-6, phase_depth=-1.1)
-    config = CavityConfig(oracle_plate=plate, iaa_plate=iaa)
-    trace = run_search(config)
-    best = int(np.argmax(trace.compensated_peak_values))
-    print("pulse energies:", np.round(trace.total_energies, 6))
-    print("best pulse iteration_count:", trace.iteration_counts[best])
-    print("input energy check:", total_energy(config.input_field()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _self_test()

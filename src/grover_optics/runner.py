@@ -17,7 +17,7 @@ import numpy as np
 from . import analysis, reference
 from ._version import __version__
 from .cavity import pulse_train, run_search
-from .config import ExperimentConfig
+from .config import ExperimentConfig, build_config
 from .errors import ConfigurationError, MeasurementError
 
 __all__ = ["run", "sweep"]
@@ -27,8 +27,45 @@ def _round9(value: float) -> float:
     return float(f"{float(value):.9g}")
 
 
-def _write_table(path: Path, header: str, table: np.ndarray) -> None:
-    np.savetxt(path, table, fmt="%.9g", delimiter=",", comments="", header=header)
+# Rows per formatting call.  Cost per row is flat from 64 to 16384 rows
+# per block, so blocks stay small: a 256-row block's format string and
+# value list take tens of KB, however large the table.
+_BLOCK_ROWS = 256
+
+
+def _write_table(path: Path, header: str, blocks) -> None:
+    """Write a CSV table from ``(fmt, values)`` blocks, one ``%`` call each.
+
+    The bytes equal ``np.savetxt(path, table, fmt="%.9g", delimiter=",",
+    comments="", header=header)`` of the same rows, including its
+    ``nan``/``inf``/``-0`` spellings.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for fmt, values in blocks:
+            fh.write(fmt % tuple(values))
+
+
+def _column_blocks(*columns):
+    """Blocks of a table given as equal-length 1-D columns; ``None`` is nan."""
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    row_fmt = ",".join(["%.9g"] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
+        yield row_fmt * len(block), block.ravel().tolist()
+
+
+def _profile_blocks(trace):
+    """Blocks of ``profiles.csv``, pulse by pulse; each x cell formatted once."""
+    x_rows = ["%.9g,%%.9g,%%.9g\n" % x for x in trace.grid.coordinates.tolist()]
+    for count, profile, compensated in zip(
+        trace.iteration_counts.tolist(), trace.profiles, trace.compensated_profiles
+    ):
+        prefix = "%.9g," % count
+        for start in range(0, len(x_rows), _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            values = np.column_stack((profile[start:stop], compensated[start:stop]))
+            yield prefix + prefix.join(x_rows[start:stop]), values.ravel().tolist()
 
 
 def _write_summary(path: Path, summary: dict) -> None:
@@ -86,20 +123,10 @@ def _run_search_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
     trace = run_search(cfg.to_cavity_config())
 
     if cfg.mode == "search":
-        n = trace.grid.n_samples
-        x = trace.grid.coordinates
-        profile_table = np.column_stack(
-            [
-                np.repeat(trace.iteration_counts, n),
-                np.tile(x, trace.n_pulses),
-                trace.profiles.ravel(),
-                trace.compensated_profiles.ravel(),
-            ]
-        )
         _write_table(
             out_dir / "profiles.csv",
             "iteration_count,x_m,intensity,compensated_intensity",
-            profile_table,
+            _profile_blocks(trace),
         )
 
     peak_values = (
@@ -108,7 +135,7 @@ def _run_search_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
     _write_table(
         out_dir / "peaks.csv",
         "iteration_count,peak_position_m,peak_value",
-        np.column_stack([trace.iteration_counts, trace.peak_positions, peak_values]),
+        _column_blocks(trace.iteration_counts, trace.peak_positions, peak_values),
     )
 
     summary = _search_summary(cfg, trace)
@@ -123,7 +150,7 @@ def _run_pulse_train_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
     _write_table(
         out_dir / "train.csv",
         "iteration_count,slit_energy",
-        np.column_stack([counts, energies]),
+        _column_blocks(counts, energies),
     )
     ratios = [
         energies[i + 1] / energies[i] if energies[i] > 0 else float("nan")
@@ -143,24 +170,19 @@ def _run_pulse_train_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
 def _run_reference_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
     ref = cfg.reference
     state = reference.GroverReducedState.uniform(ref.n_items, ref.n_marked)
-    rows = []
-    for k in range(ref.n_iterations + 1):
-        rows.append(
-            (
-                float(k),
-                state.success_probability,
-                reference.success_probability(k, ref.n_items, ref.n_marked),
-            )
-        )
+    iterations = range(ref.n_iterations + 1)
+    probabilities, ideal = [], []
+    for k in iterations:
+        probabilities.append(state.success_probability)
+        ideal.append(reference.success_probability(k, ref.n_items, ref.n_marked))
         state = reference.reduced_iterate(
             state, ref.oracle_phase_rad, ref.diffusion_phase_rad
         )
     _write_table(
         out_dir / "reference.csv",
         "iteration,success_probability,ideal_closed_form",
-        np.asarray(rows),
+        _column_blocks(iterations, probabilities, ideal),
     )
-    probabilities = [row[1] for row in rows]
     best = int(np.argmax(probabilities))
     summary = {
         "artifact_version": __version__,
@@ -228,12 +250,12 @@ def sweep(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     the output directory, executed by up to ``cfg.workers`` threads;
     the aggregate table ``sweep.csv`` is keyed by the swept values in
     deterministic (row-major product) order.  With no axes configured
-    this degenerates to a single ordinary run.
+    this degenerates to a single ordinary run.  Every point is built
+    and validated before anything is written, so a sweep with one bad
+    point raises ``ConfigurationError`` and leaves ``out_dir`` untouched.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if not cfg.sweep:
-        return run(cfg, out)
+        return run(cfg, out_dir)
 
     axes = cfg.sweep
     base = cfg.model_dump(mode="json")
@@ -241,11 +263,17 @@ def sweep(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     combos = list(itertools.product(*(axis.values for axis in axes)))
 
     point_configs: list[ExperimentConfig] = []
-    for combo in combos:
+    for index, combo in enumerate(combos):
         raw = json.loads(json.dumps(base))  # deep copy
         for axis, value in zip(axes, combo):
             _set_by_path(raw, axis.parameter, value)
-        point_configs.append(ExperimentConfig.model_validate(raw))
+        try:
+            point_configs.append(build_config(raw))
+        except ConfigurationError as err:
+            raise ConfigurationError(f"sweep point {index}: {err}") from err
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     def _execute(index: int) -> dict:
         return run(point_configs[index], out / f"point_{index:03d}")
@@ -260,14 +288,11 @@ def sweep(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     header = ",".join(
         ["point", *(axis.parameter for axis in axes), *value_columns]
     )
-    lines = [header]
-    for index, (combo, summary) in enumerate(zip(combos, summaries)):
-        cells = [str(index)]
-        cells += [f"{v:.9g}" for v in combo]
-        for scalar in _sweep_scalars(cfg.mode, summary):
-            cells.append("nan" if scalar is None else f"{float(scalar):.9g}")
-        lines.append(",".join(cells))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [
+        (index, *combo, *_sweep_scalars(cfg.mode, summary))
+        for index, (combo, summary) in enumerate(zip(combos, summaries))
+    ]
+    _write_table(out / "sweep.csv", header, _column_blocks(*zip(*rows)))
 
     aggregate = {
         "artifact_version": __version__,

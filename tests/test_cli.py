@@ -201,6 +201,30 @@ class TestSweepCommand:
         )
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "parameter, values",
+        [
+            # the last plate center puts the oracle off the grid
+            ("oracle.center_um", [150.0, 200.0, 1e6]),
+            # schema violation on the second point
+            ("wavelength_nm", [532.0, -5.0]),
+        ],
+    )
+    def test_invalid_point_exits_2_before_writing(
+        self, tmp_path, capsys, parameter, values
+    ):
+        cfg = write_config(
+            tmp_path,
+            preset="paper-42um",
+            n_pulses=8,
+            sweep=[{"parameter": parameter, "values": values}],
+            **SMALL_GRID,
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"sweep point {len(values) - 1}" in capsys.readouterr().err
+
     def test_sweep_without_axes_is_a_single_run(self, tmp_path):
         cfg = small_search_config(tmp_path)
         out = tmp_path / "out"
