@@ -6,113 +6,27 @@ the lens Fourier plane inverts amplitudes about their average, and the
 cavity repeats the pair once per roundtrip.  A discrete
 amplitude-amplification model with generalized phases provides the
 analytic reference the optical results are checked against.
+
+The public names are those in each module's ``__all__``.
 """
 
+from . import analysis, cavity, config, elements, errors, fields, reference
 from ._version import __version__
-from .analysis import (
-    PeakTrace,
-    equivalent_qubits,
-    estimate_nm,
-    expected_nm,
-    first_maximum,
-    max_database_size,
-    rayleigh_resolution,
-)
-from .cavity import (
-    CavityConfig,
-    SearchTrace,
-    grover_iterate,
-    half_pass_forward,
-    pulse_train,
-    run_search,
-)
-from .config import ExperimentConfig, PRESET_NAMES, build_config, load_config
-from .elements import (
-    LossModel,
-    Slit,
-    TrapezoidPhasePlate,
-    apply_plate,
-    apply_roundtrip_loss,
-    fourier_plane_coordinate,
-    phase_profile,
-    slit_energy,
-)
-from .errors import (
-    ConfigurationError,
-    GridMismatchError,
-    GroverOpticsError,
-    MeasurementError,
-    SimulationError,
-)
-from .fields import (
-    ComplexField,
-    FourierGrid,
-    Grid1D,
-    dft_centered,
-    gaussian_input,
-    idft_centered,
-    intensity_fwhm,
-    parity_flip,
-    peak,
-    total_energy,
-)
-from .reference import (
-    FullGroverState,
-    GroverReducedState,
-    full_iterate,
-    optimal_iterations,
-    oscillation_period,
-    reduced_iterate,
-    success_probability,
-)
+from .analysis import *  # noqa: F403
+from .cavity import *  # noqa: F403
+from .config import *  # noqa: F403
+from .elements import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fields import *  # noqa: F403
+from .reference import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    "Grid1D",
-    "ComplexField",
-    "FourierGrid",
-    "gaussian_input",
-    "dft_centered",
-    "idft_centered",
-    "parity_flip",
-    "total_energy",
-    "intensity_fwhm",
-    "peak",
-    "TrapezoidPhasePlate",
-    "LossModel",
-    "Slit",
-    "phase_profile",
-    "apply_plate",
-    "apply_roundtrip_loss",
-    "slit_energy",
-    "fourier_plane_coordinate",
-    "CavityConfig",
-    "SearchTrace",
-    "half_pass_forward",
-    "grover_iterate",
-    "run_search",
-    "pulse_train",
-    "GroverReducedState",
-    "FullGroverState",
-    "reduced_iterate",
-    "full_iterate",
-    "success_probability",
-    "optimal_iterations",
-    "oscillation_period",
-    "PeakTrace",
-    "first_maximum",
-    "estimate_nm",
-    "expected_nm",
-    "rayleigh_resolution",
-    "max_database_size",
-    "equivalent_qubits",
-    "ExperimentConfig",
-    "PRESET_NAMES",
-    "build_config",
-    "load_config",
-    "GroverOpticsError",
-    "ConfigurationError",
-    "GridMismatchError",
-    "MeasurementError",
-    "SimulationError",
+    *fields.__all__,
+    *elements.__all__,
+    *cavity.__all__,
+    *reference.__all__,
+    *analysis.__all__,
+    *config.__all__,
+    *errors.__all__,
 ]

@@ -35,6 +35,7 @@ from .elements import (
     _window_overlap,
     apply_plate,
     apply_roundtrip_loss,
+    check_plate_fits,
 )
 from .errors import ConfigurationError
 from .fields import (
@@ -81,7 +82,6 @@ class CavityConfig:
     slit: Slit | None = None
     grid: Grid1D = dataclass_field(default_factory=_default_grid)
     n_pulses: int = 12
-    loss_compensation: bool = True
 
     def __post_init__(self) -> None:
         for name in ("wavelength", "input_fwhm", "focal_length_1", "focal_length_2"):
@@ -101,22 +101,8 @@ class CavityConfig:
                 f"input_fwhm {self.input_fwhm:.6g} m must be below half the "
                 f"grid extent {self.grid.extent:.6g} m"
             )
-        self._check_plate_fits(self.oracle_plate, self.grid.coordinates, "oracle")
-        self._check_plate_fits(
-            self.iaa_plate, self.fourier_grid.coordinates, "IAA"
-        )
-
-    @staticmethod
-    def _check_plate_fits(
-        plate: TrapezoidPhasePlate, coords: np.ndarray, label: str
-    ) -> None:
-        reach = plate.support_half_width
-        if plate.center - reach < coords[0] or plate.center + reach > coords[-1]:
-            raise ConfigurationError(
-                f"{label} plate support [{plate.center - reach:.6g}, "
-                f"{plate.center + reach:.6g}] m does not fit inside its "
-                f"plane's extent [{coords[0]:.6g}, {coords[-1]:.6g}] m"
-            )
+        check_plate_fits(self.oracle_plate, self.grid, "oracle")
+        check_plate_fits(self.iaa_plate, self.fourier_grid.as_grid(), "IAA")
 
     @property
     def fourier_grid(self) -> FourierGrid:
@@ -161,6 +147,23 @@ class SearchTrace:
         return int(self.iteration_counts.size)
 
 
+def _through_fourier_plane(
+    field: ComplexField, config: CavityConfig, passes: int, fraction: float
+) -> ComplexField:
+    """Lens, IAA plate (``passes`` times), inverse lens, then ``fraction``
+    of the roundtrip loss: the chain every half pass and roundtrip share.
+
+    The result is upright (oracle-plane orientation); the physical second
+    lens adds a parity flip, F = parity after F^-1, which callers apply
+    where they need it.  The loss is one real scalar, so applying it
+    before or after that flip gives the same bits.
+    """
+    fgrid = config.fourier_grid
+    focal = dft_centered(field, fgrid)
+    shifted = apply_plate(focal, config.iaa_plate, passes)
+    return apply_roundtrip_loss(idft_centered(shifted, fgrid), config.loss, fraction)
+
+
 def half_pass_forward(field: ComplexField, config: CavityConfig) -> ComplexField:
     """One forward traversal: oracle, lens, IAA, lens, half the loss.
 
@@ -169,13 +172,8 @@ def half_pass_forward(field: ComplexField, config: CavityConfig) -> ComplexField
     amplitude factor.  The returned field is the physical one at the
     output coupler (inverted orientation), before mirror transmission.
     """
-    fgrid = config.fourier_grid
     marked = apply_plate(field, config.oracle_plate, 1)
-    focal = dft_centered(marked, fgrid)
-    shifted = apply_plate(focal, config.iaa_plate, 1)
-    # Second forward transform F = parity after F^-1 (F^2 is a flip).
-    out = parity_flip(idft_centered(shifted, fgrid))
-    return apply_roundtrip_loss(out, config.loss, 0.5)
+    return parity_flip(_through_fourier_plane(marked, config, 1, 0.5))
 
 
 def grover_iterate(field: ComplexField, config: CavityConfig) -> ComplexField:
@@ -186,17 +184,8 @@ def grover_iterate(field: ComplexField, config: CavityConfig) -> ComplexField:
     takes one full roundtrip of loss.  With plate depths 0 and loss 1
     this is the identity.
     """
-    fgrid = config.fourier_grid
     marked = apply_plate(field, config.oracle_plate, 2)
-    focal = dft_centered(marked, fgrid)
-    shifted = apply_plate(focal, config.iaa_plate, 2)
-    out = idft_centered(shifted, fgrid)
-    return apply_roundtrip_loss(out, config.loss, 1.0)
-
-
-def _record(field: ComplexField, transmission: float) -> np.ndarray:
-    """Recorded intensity behind the output coupler."""
-    return transmission * field.intensity
+    return _through_fourier_plane(marked, config, 2, 1.0)
 
 
 def _lobe_center(intensity: np.ndarray, coords: np.ndarray) -> float:
@@ -229,7 +218,6 @@ def run_search(config: CavityConfig) -> SearchTrace:
     orientation, via the forward chain), then completes the roundtrip
     with the mirrored backward chain to advance the field.
     """
-    fgrid = config.fourier_grid
     circulating = config.input_field()
     n = config.grid.n_samples
     loss_factor = config.loss.roundtrip_energy_factor
@@ -246,14 +234,11 @@ def run_search(config: CavityConfig) -> SearchTrace:
     coords = config.grid.coordinates
     for row, count in enumerate(iteration_counts):
         # Forward half pass, recorded in upright (oracle) orientation.
-        marked = apply_plate(circulating, config.oracle_plate, 1)
-        focal = dft_centered(marked, fgrid)
-        shifted = apply_plate(focal, config.iaa_plate, 1)
-        upright = apply_roundtrip_loss(
-            idft_centered(shifted, fgrid), config.loss, 0.5
+        upright = _through_fourier_plane(
+            apply_plate(circulating, config.oracle_plate, 1), config, 1, 0.5
         )
 
-        intensity = _record(upright, config.output_mirror_transmission)
+        intensity = config.output_mirror_transmission * upright.intensity
         profiles[row] = intensity
         compensated[row] = intensity * loss_factor ** (-count)
         idx = int(np.argmax(intensity))
@@ -265,15 +250,8 @@ def run_search(config: CavityConfig) -> SearchTrace:
 
         # Backward half pass: flip to the physical output orientation,
         # traverse IAA and oracle once more, and arrive back upright.
-        outbound = parity_flip(upright)
-        focal_back = dft_centered(outbound, fgrid)
-        shifted_back = apply_plate(focal_back, config.iaa_plate, 1)
-        returned = parity_flip(idft_centered(shifted_back, fgrid))
-        circulating = apply_plate(
-            apply_roundtrip_loss(returned, config.loss, 0.5),
-            config.oracle_plate,
-            1,
-        )
+        returned = _through_fourier_plane(parity_flip(upright), config, 1, 0.5)
+        circulating = apply_plate(parity_flip(returned), config.oracle_plate, 1)
 
     return SearchTrace(
         grid=config.grid,

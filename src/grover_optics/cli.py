@@ -13,12 +13,7 @@ import sys
 from pathlib import Path
 
 from .config import PRESET_NAMES, ExperimentConfig, build_config, read_raw_config
-from .errors import (
-    ConfigurationError,
-    GridMismatchError,
-    MeasurementError,
-    SimulationError,
-)
+from .errors import ConfigurationError, GridMismatchError, MeasurementError
 from .runner import run, sweep
 
 EXIT_OK = 0
@@ -71,20 +66,13 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
     raw = read_raw_config(args.config) if args.config is not None else {}
     if args.preset is not None:
         raw["preset"] = args.preset
-    cfg = build_config(raw)
-
-    overrides: dict = {}
-    if args.command == "pulse-train":
-        overrides["mode"] = "pulse-train"
-    elif args.command == "reference":
-        overrides["mode"] = "reference"
+    if args.command in ("pulse-train", "reference"):
+        raw["mode"] = args.command
     if args.workers is not None:
-        overrides["workers"] = args.workers
+        raw["workers"] = args.workers
     if args.compensate_loss is not None:
-        overrides["compensate_loss"] = args.compensate_loss
-    if overrides:
-        cfg = cfg.model_copy(update=overrides)
-    return cfg
+        raw["compensate_loss"] = args.compensate_loss
+    return build_config(raw)
 
 
 def _resolve_out_dir(args: argparse.Namespace, cfg: ExperimentConfig) -> Path:
@@ -112,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SimulationError, MeasurementError, GridMismatchError) as err:
+    except (MeasurementError, GridMismatchError) as err:
         print(f"simulation error: {err}", file=sys.stderr)
         return EXIT_SIMULATION
     except OSError as err:

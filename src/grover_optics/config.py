@@ -20,16 +20,7 @@ from .elements import LossModel, Slit, TrapezoidPhasePlate
 from .errors import ConfigurationError
 from .fields import Grid1D
 
-__all__ = [
-    "PlateSettings",
-    "ReferenceSettings",
-    "SweepAxis",
-    "ExperimentConfig",
-    "PRESET_NAMES",
-    "load_config",
-    "build_config",
-    "preset_values",
-]
+__all__ = ["ExperimentConfig", "PRESET_NAMES", "build_config", "load_config"]
 
 PRESET_NAMES = ("paper-42um", "paper-84um", "paper-126um", "ideal")
 
@@ -139,7 +130,6 @@ class ExperimentConfig(BaseModel):
             slit=Slit(center=slit_center_um * 1e-6, width=self.slit_width_um * 1e-6),
             grid=Grid1D(self.grid_samples, self.grid_pitch_um * 1e-6),
             n_pulses=self.n_pulses,
-            loss_compensation=self.compensate_loss,
         )
 
 
@@ -188,10 +178,6 @@ def build_config(raw: dict) -> ExperimentConfig:
     merged = raw
     preset_name = raw.get("preset")
     if preset_name is not None:
-        if preset_name not in PRESET_NAMES:
-            raise ConfigurationError(
-                f"unknown preset {preset_name!r}; available: {', '.join(PRESET_NAMES)}"
-            )
         merged = _deep_merge(preset_values(preset_name), raw)
     try:
         cfg = ExperimentConfig.model_validate(merged)

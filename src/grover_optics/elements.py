@@ -20,7 +20,6 @@ __all__ = [
     "apply_plate",
     "apply_roundtrip_loss",
     "slit_energy",
-    "fourier_plane_coordinate",
 ]
 
 
@@ -85,20 +84,31 @@ class Slit:
             raise ConfigurationError(f"slit width must be positive, got {self.width}")
 
 
+def check_plate_fits(plate: TrapezoidPhasePlate, grid: Grid1D, label: str) -> None:
+    """Raise ConfigurationError when the plate's support extends past the
+    first or last sample of ``grid``, since a clipped plate silently
+    changes the physics.  ``label`` names the plate in the message.
+    """
+    # grid.coordinates[0] and [-1], without building the array.
+    half = grid.n_samples // 2
+    first, last = -half * grid.pitch, (half - 1) * grid.pitch
+    reach = plate.support_half_width
+    if plate.center - reach < first or plate.center + reach > last:
+        raise ConfigurationError(
+            f"{label} plate support [{plate.center - reach:.6g}, "
+            f"{plate.center + reach:.6g}] m does not fit inside its "
+            f"plane's extent [{first:.6g}, {last:.6g}] m"
+        )
+
+
 def phase_profile(plate: TrapezoidPhasePlate, grid: Grid1D) -> np.ndarray:
     """Per-sample phase (radians) of a trapezoid plate on a grid.
 
-    Raises ConfigurationError when the plate's support extends past the
-    grid edges, since a clipped plate silently changes the physics.
+    Raises ConfigurationError when the plate does not fit the grid
+    (see :func:`check_plate_fits`).
     """
+    check_plate_fits(plate, grid, "phase")
     x = grid.coordinates
-    half_support = plate.support_half_width
-    if plate.center - half_support < x[0] or plate.center + half_support > x[-1]:
-        raise ConfigurationError(
-            f"plate support [{plate.center - half_support:.6g}, "
-            f"{plate.center + half_support:.6g}] m extends beyond the grid "
-            f"extent [{x[0]:.6g}, {x[-1]:.6g}] m"
-        )
     distance = np.abs(x - plate.center)
     half_flat = plate.flat_width / 2.0
     if plate.ramp_width == 0:
@@ -150,9 +160,3 @@ def slit_energy(field: ComplexField, slit: Slit) -> float:
     hi = slit.center + slit.width / 2.0
     overlap = _window_overlap(field.grid, lo, hi)
     return float(np.sum(field.intensity * overlap))
-
-
-def fourier_plane_coordinate(nu: float, wavelength: float, focal_length: float) -> float:
-    """Transverse position x' = lambda * f * nu of spatial frequency nu
-    (cycles per meter) in the focal plane of a lens."""
-    return wavelength * focal_length * nu

@@ -4,6 +4,13 @@ The CLI maps these onto process exit codes, so simulation code should
 raise the most specific type that applies rather than bare ValueError.
 """
 
+__all__ = [
+    "GroverOpticsError",
+    "ConfigurationError",
+    "GridMismatchError",
+    "MeasurementError",
+]
+
 
 class GroverOpticsError(Exception):
     """Base class for all package-specific errors."""
@@ -20,7 +27,3 @@ class GridMismatchError(GroverOpticsError, ValueError):
 class MeasurementError(GroverOpticsError, RuntimeError):
     """A profile measurement's precondition does not hold (e.g. no
     interior maximum, or a peak clipped by the grid edge)."""
-
-
-class SimulationError(GroverOpticsError, RuntimeError):
-    """A simulation could not produce a meaningful result."""

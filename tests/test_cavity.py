@@ -16,6 +16,7 @@ from grover_optics import (
     parity_flip,
     pulse_train,
     run_search,
+    build_config,
     total_energy,
 )
 
@@ -141,6 +142,16 @@ class TestRunSearch:
         predicted = 0.02 * (0.75**0.5 * np.abs(step.amplitudes)) ** 2
         scale = float(np.max(trace.profiles[1]))
         assert np.max(np.abs(trace.profiles[1] - predicted)) < 1e-10 * scale
+
+    @pytest.mark.parametrize("preset", ["paper-42um", "ideal"])
+    def test_first_pulse_is_the_recorded_half_pass_bit_for_bit(self, preset):
+        # run_search and half_pass_forward share one propagation chain,
+        # so the first recorded pulse is exactly the upright half pass.
+        config = build_config({"preset": preset, "grid_samples": 4096}).to_cavity_config()
+        trace = run_search(config)
+        out = parity_flip(half_pass_forward(config.input_field(), config))
+        expected = config.output_mirror_transmission * out.intensity
+        assert np.array_equal(trace.profiles[0], expected)
 
     @pytest.mark.parametrize("flat_um", sorted(PAPER_PLATES))
     def test_peak_locates_the_marked_line(self, flat_um):

@@ -104,6 +104,16 @@ class TestErrorPaths:
         assert main(["run", "--preset", "paper-999um"]) == 2
         capsys.readouterr()  # swallow argparse usage text
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_invalid_workers_flag_exits_2_before_writing(
+        self, tmp_path, capsys, workers
+    ):
+        out = tmp_path / "out"
+        argv = ["run", "--preset", "paper-42um", "--workers", workers, "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert "workers" in capsys.readouterr().err
+
     def test_missing_config_file_exits_4(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 4
 

@@ -10,7 +10,6 @@ from grover_optics import (
     TrapezoidPhasePlate,
     apply_plate,
     apply_roundtrip_loss,
-    fourier_plane_coordinate,
     gaussian_input,
     phase_profile,
     slit_energy,
@@ -183,17 +182,3 @@ class TestSlitEnergy:
     def test_zero_width_rejected(self):
         with pytest.raises(ConfigurationError):
             Slit(center=0.0, width=0.0)
-
-
-class TestFourierPlaneCoordinate:
-    def test_zero_frequency_maps_to_axis(self):
-        assert fourier_plane_coordinate(0.0, 532e-9, 0.4) == 0.0
-
-    def test_linear_scaling(self):
-        # x' = lambda * f * nu with lambda*f = 2.128e-7 m^2
-        assert fourier_plane_coordinate(1000.0, 532e-9, 0.4) == pytest.approx(
-            2.128e-4
-        )
-        assert fourier_plane_coordinate(-2500.0, 532e-9, 0.4) == pytest.approx(
-            -5.32e-4
-        )
