@@ -33,9 +33,11 @@ from .elements import (
     Slit,
     TrapezoidPhasePlate,
     _window_overlap,
+    apply_phasor,
     apply_plate,
     apply_roundtrip_loss,
     check_plate_fits,
+    plate_phasor,
 )
 from .errors import ConfigurationError
 from .fields import (
@@ -147,10 +149,15 @@ class SearchTrace:
         return int(self.iteration_counts.size)
 
 
+def _iaa_phasor(config: CavityConfig, passes: int) -> np.ndarray:
+    """The IAA plate's mask on the Fourier plane (see ``plate_phasor``)."""
+    return plate_phasor(config.iaa_plate, config.fourier_grid.as_grid(), passes)
+
+
 def _through_fourier_plane(
-    field: ComplexField, config: CavityConfig, passes: int, fraction: float
+    field: ComplexField, config: CavityConfig, iaa: np.ndarray, fraction: float
 ) -> ComplexField:
-    """Lens, IAA plate (``passes`` times), inverse lens, then ``fraction``
+    """Lens, IAA plate (phasor ``iaa``), inverse lens, then ``fraction``
     of the roundtrip loss: the chain every half pass and roundtrip share.
 
     The result is upright (oracle-plane orientation); the physical second
@@ -159,8 +166,7 @@ def _through_fourier_plane(
     before or after that flip gives the same bits.
     """
     fgrid = config.fourier_grid
-    focal = dft_centered(field, fgrid)
-    shifted = apply_plate(focal, config.iaa_plate, passes)
+    shifted = apply_phasor(dft_centered(field, fgrid), iaa)
     return apply_roundtrip_loss(idft_centered(shifted, fgrid), config.loss, fraction)
 
 
@@ -173,7 +179,7 @@ def half_pass_forward(field: ComplexField, config: CavityConfig) -> ComplexField
     output coupler (inverted orientation), before mirror transmission.
     """
     marked = apply_plate(field, config.oracle_plate, 1)
-    return parity_flip(_through_fourier_plane(marked, config, 1, 0.5))
+    return parity_flip(_through_fourier_plane(marked, config, _iaa_phasor(config, 1), 0.5))
 
 
 def grover_iterate(field: ComplexField, config: CavityConfig) -> ComplexField:
@@ -185,7 +191,7 @@ def grover_iterate(field: ComplexField, config: CavityConfig) -> ComplexField:
     this is the identity.
     """
     marked = apply_plate(field, config.oracle_plate, 2)
-    return _through_fourier_plane(marked, config, 2, 1.0)
+    return _through_fourier_plane(marked, config, _iaa_phasor(config, 2), 1.0)
 
 
 def _lobe_center(intensity: np.ndarray, coords: np.ndarray) -> float:
@@ -216,7 +222,9 @@ def run_search(config: CavityConfig) -> SearchTrace:
     The circulating field is kept at the input mirror in the oracle
     frame.  Each loop turn records the output-plane image (upright
     orientation, via the forward chain), then completes the roundtrip
-    with the mirrored backward chain to advance the field.
+    with the mirrored backward chain to advance the field.  Both plates
+    act once per half pass with the same mask, so each phasor is built
+    once, before the pulse loop.
     """
     circulating = config.input_field()
     n = config.grid.n_samples
@@ -232,11 +240,11 @@ def run_search(config: CavityConfig) -> SearchTrace:
     at_edge = np.zeros(config.n_pulses, dtype=bool)
 
     coords = config.grid.coordinates
+    oracle = plate_phasor(config.oracle_plate, config.grid, 1)
+    iaa = _iaa_phasor(config, 1)
     for row, count in enumerate(iteration_counts):
         # Forward half pass, recorded in upright (oracle) orientation.
-        upright = _through_fourier_plane(
-            apply_plate(circulating, config.oracle_plate, 1), config, 1, 0.5
-        )
+        upright = _through_fourier_plane(apply_phasor(circulating, oracle), config, iaa, 0.5)
 
         intensity = config.output_mirror_transmission * upright.intensity
         profiles[row] = intensity
@@ -250,8 +258,8 @@ def run_search(config: CavityConfig) -> SearchTrace:
 
         # Backward half pass: flip to the physical output orientation,
         # traverse IAA and oracle once more, and arrive back upright.
-        returned = _through_fourier_plane(parity_flip(upright), config, 1, 0.5)
-        circulating = apply_plate(parity_flip(returned), config.oracle_plate, 1)
+        returned = _through_fourier_plane(parity_flip(upright), config, iaa, 0.5)
+        circulating = apply_phasor(parity_flip(returned), oracle)
 
     return SearchTrace(
         grid=config.grid,

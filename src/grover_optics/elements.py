@@ -17,6 +17,8 @@ __all__ = [
     "LossModel",
     "Slit",
     "phase_profile",
+    "plate_phasor",
+    "apply_phasor",
     "apply_plate",
     "apply_roundtrip_loss",
     "slit_energy",
@@ -118,16 +120,37 @@ def phase_profile(plate: TrapezoidPhasePlate, grid: Grid1D) -> np.ndarray:
     return plate.phase_depth * shape
 
 
-def apply_plate(field: ComplexField, plate: TrapezoidPhasePlate, passes: int) -> ComplexField:
-    """Multiply the field by exp(i * passes * phase_profile).
+def plate_phasor(plate: TrapezoidPhasePlate, grid: Grid1D, passes: int) -> np.ndarray:
+    """The complex mask exp(i * passes * phase_profile) of a plate on a grid.
 
     ``passes`` is 1 for a one-way traversal, 2 for the double pass a
-    plate sees per cavity roundtrip.  Energy is unchanged.
+    plate sees per cavity roundtrip.  A plate that acts on many pulses
+    needs its phasor built only once.
     """
     if passes not in (1, 2):
         raise ConfigurationError(f"passes must be 1 or 2, got {passes}")
-    phase = phase_profile(plate, field.grid)
-    return ComplexField(field.grid, field.amplitudes * np.exp(1j * passes * phase))
+    return np.exp(1j * passes * phase_profile(plate, grid))
+
+
+def apply_phasor(field: ComplexField, phasor: np.ndarray) -> ComplexField:
+    """Multiply the field by a unit-modulus mask from :func:`plate_phasor`.
+
+    The product is written ``phasor * amplitudes``, in that order: the
+    vectorized complex multiply is not bitwise commutative, and this is
+    the order in which numpy evaluated ``amplitudes * exp(...)`` on
+    arrays of 256 KiB and more, where it reuses the temporary ``exp``
+    result in place.  Keeping it pins the output bits on the default
+    grid.
+    """
+    return ComplexField(field.grid, np.multiply(phasor, field.amplitudes))
+
+
+def apply_plate(field: ComplexField, plate: TrapezoidPhasePlate, passes: int) -> ComplexField:
+    """Multiply the field by exp(i * passes * phase_profile).
+
+    Energy is unchanged.  See :func:`plate_phasor` for ``passes``.
+    """
+    return apply_phasor(field, plate_phasor(plate, field.grid, passes))
 
 
 def apply_roundtrip_loss(

@@ -202,12 +202,12 @@ def idft_centered(field: ComplexField, fgrid: FourierGrid) -> ComplexField:
 def parity_flip(field: ComplexField) -> ComplexField:
     """Spatial inversion x -> -x on the same grid.
 
-    Implemented as the index permutation i -> (n - i) mod n, which is
-    exactly what two successive centered transforms produce.
+    This is the index permutation i -> (n - i) mod n, which is exactly
+    what two successive centered transforms produce: sample 0 stays and
+    the rest are reversed, so no index array is needed.
     """
-    n = field.grid.n_samples
-    idx = (n - np.arange(n)) % n
-    return ComplexField(field.grid, field.amplitudes[idx])
+    a = field.amplitudes
+    return ComplexField(field.grid, np.concatenate((a[:1], a[:0:-1])))
 
 
 def total_energy(field: ComplexField) -> float:

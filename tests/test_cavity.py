@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grover_optics import elements
 from grover_optics import (
     CavityConfig,
     ConfigurationError,
@@ -159,6 +160,20 @@ class TestRunSearch:
         config = paper_cavity(flat_um)
         trace = run_search(config)
         assert abs(trace.peak_positions[best_row] - 150e-6) <= config.grid.pitch
+
+    @pytest.mark.parametrize("n_pulses", [2, 12])
+    def test_builds_each_plate_mask_once_per_run(self, n_pulses, monkeypatch):
+        calls = []
+        original = elements.phase_profile
+
+        def counted(plate, grid):
+            calls.append(plate)
+            return original(plate, grid)
+
+        monkeypatch.setattr(elements, "phase_profile", counted)
+        config = paper_cavity(42.0, n_pulses=n_pulses, grid=Grid1D(4096, 2e-6))
+        run_search(config)
+        assert calls == [config.oracle_plate, config.iaa_plate]
 
     def test_lossless_cavity_conserves_recorded_energy(self):
         config = ideal_cavity(42.0, n_pulses=10)

@@ -8,10 +8,12 @@ from grover_optics import (
     LossModel,
     Slit,
     TrapezoidPhasePlate,
+    apply_phasor,
     apply_plate,
     apply_roundtrip_loss,
     gaussian_input,
     phase_profile,
+    plate_phasor,
     slit_energy,
     total_energy,
 )
@@ -108,6 +110,19 @@ class TestApplyPlate:
     def test_invalid_pass_count(self, passes):
         with pytest.raises(ConfigurationError):
             apply_plate(self.field, self.plate, passes)
+
+    @pytest.mark.parametrize("n", [4096, 16384])
+    def test_multiplies_phasor_first_bit_for_bit(self, n, rng):
+        # The complex multiply is not bitwise commutative; the phasor
+        # comes first on both sides of numpy's in-place temporary
+        # threshold (256 KiB, 16384 samples).
+        grid = Grid1D(n, 2e-6)
+        amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        field = ComplexField(grid, amps)
+        phasor = plate_phasor(self.plate, grid, 1)
+        expected = np.multiply(phasor, field.amplitudes)
+        assert np.array_equal(apply_plate(field, self.plate, 1).amplitudes, expected)
+        assert np.array_equal(apply_phasor(field, phasor).amplitudes, expected)
 
 
 class TestRoundtripLoss:

@@ -204,6 +204,12 @@ class TestMeasurements:
         position, _ = peak(ComplexField(grid, amps))
         assert position == pytest.approx(grid.coordinates[90])
 
+    @pytest.mark.parametrize("n", [16, 4096])
+    def test_parity_flip_is_the_index_permutation(self, n, rng):
+        field = random_field(Grid1D(n, 1e-6), rng)
+        idx = (n - np.arange(n)) % n
+        assert np.array_equal(parity_flip(field).amplitudes, field.amplitudes[idx])
+
     def test_parity_flip_is_involution(self, rng):
         field = random_field(Grid1D(128, 1e-6), rng)
         double = parity_flip(parity_flip(field))

@@ -22,6 +22,10 @@ from grover_optics.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "sha256.json"
 SMALL_GRID = {"grid_samples": 4096, "grid_pitch_um": 2.0}
+# The default grid: its 256 KiB complex arrays are large enough for
+# numpy to reuse temporaries in place, which can change the operand
+# order of a multiply and with it the last bit, so one case runs here.
+DEFAULT_GRID = {"grid_samples": 16384, "grid_pitch_um": 2.0}
 SEARCH_FILES = ("profiles.csv", "peaks.csv", "summary.json")
 
 # name -> (subcommand, config, files whose hashes are pinned)
@@ -30,6 +34,11 @@ CASES = {
         f"run-{preset}": ("run", {"preset": preset, **SMALL_GRID}, SEARCH_FILES)
         for preset in ("paper-42um", "paper-84um", "paper-126um", "ideal")
     },
+    "run-paper-84um-16384": (
+        "run",
+        {"preset": "paper-84um", **DEFAULT_GRID},
+        SEARCH_FILES,
+    ),
     "pulse-train-paper-42um": (
         "pulse-train",
         {"preset": "paper-42um", **SMALL_GRID},
