@@ -22,6 +22,17 @@ Conventions used throughout:
 * The aggregate roundtrip energy loss is split evenly between the two
   half passes; the output mirror transmission only scales what is
   recorded and does not deplete the circulating field further.
+
+How a pulse is computed: ``half_pass_forward`` and ``grover_iterate``
+compose the checked public chain — ``ComplexField``, ``dft_centered``,
+``idft_centered``, ``parity_flip`` — which validates grids at every
+step and returns a fresh field each time.  ``run_search`` repeats that
+chain for every pulse, so its loop instead keeps the circulating field
+as a plain array in FFT-native (``ifftshift``ed) order, with both plate
+phasors shifted into that order once per run.  Every step is then either
+a permutation or the same arithmetic on the same operands as the chain,
+so the recorded intensities (``fftshift``ed back) are bit-identical to
+it; the tests use the chain as the oracle for the loop.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -44,6 +55,7 @@ from .fields import (
     ComplexField,
     FourierGrid,
     Grid1D,
+    _reverse_about_zero,
     dft_centered,
     gaussian_input,
     idft_centered,
@@ -122,9 +134,9 @@ class SearchTrace:
 
     Pulse j (1-based) appears at row j - 1 with iteration_count j - 0.5.
     ``profiles`` holds the recorded output intensities (scaled by the
-    output mirror transmission); ``compensated_profiles`` additionally
-    multiply pulse j by loss^-(j - 0.5), undoing the uniform decay the
-    way the raw measurement data is rescaled for display.  Peaks that
+    output mirror transmission); ``compensated_peak_values`` additionally
+    multiply pulse j's peak by loss^-(j - 0.5), undoing the uniform decay
+    the way the raw measurement data is rescaled for display.  Peaks that
     fall on the first or last grid sample are flagged, not fatal.
 
     ``peak_values`` are the brightest-sample intensities while
@@ -137,7 +149,6 @@ class SearchTrace:
     grid: Grid1D
     iteration_counts: np.ndarray
     profiles: np.ndarray
-    compensated_profiles: np.ndarray
     peak_positions: np.ndarray
     peak_values: np.ndarray
     compensated_peak_values: np.ndarray
@@ -168,6 +179,17 @@ def _through_fourier_plane(
     fgrid = config.fourier_grid
     shifted = apply_phasor(dft_centered(field, fgrid), iaa)
     return apply_roundtrip_loss(idft_centered(shifted, fgrid), config.loss, fraction)
+
+
+def _native_half_pass(field: np.ndarray, iaa: np.ndarray, scale: float) -> np.ndarray:
+    """``_through_fourier_plane`` on FFT-native arrays: FFT, IAA, iFFT, loss.
+
+    ``iaa`` is the ``ifftshift``ed phasor and ``scale`` the amplitude
+    factor of the loss; the arithmetic is the chain's, operand for
+    operand, so the result is its output ``ifftshift``ed, bit for bit.
+    """
+    spectrum = np.multiply(iaa, np.fft.fft(field, norm="ortho"))
+    return np.fft.ifft(spectrum, norm="ortho") * scale
 
 
 def half_pass_forward(field: ComplexField, config: CavityConfig) -> ComplexField:
@@ -220,19 +242,20 @@ def run_search(config: CavityConfig) -> SearchTrace:
     """Run the full cavity experiment and record every output pulse.
 
     The circulating field is kept at the input mirror in the oracle
-    frame.  Each loop turn records the output-plane image (upright
-    orientation, via the forward chain), then completes the roundtrip
-    with the mirrored backward chain to advance the field.  Both plates
-    act once per half pass with the same mask, so each phasor is built
-    once, before the pulse loop.
+    frame, in FFT-native order (see the module docstring).  Each loop
+    turn records the output-plane image (upright orientation, via the
+    forward half pass), then completes the roundtrip with the mirrored
+    backward half pass to advance the field.  Both plates act once per
+    half pass with the same mask, so each phasor is built once, before
+    the pulse loop.
     """
-    circulating = config.input_field()
     n = config.grid.n_samples
     loss_factor = config.loss.roundtrip_energy_factor
+    scale = loss_factor ** (0.5 / 2.0)
+    transmission = config.output_mirror_transmission
 
     iteration_counts = np.arange(1, config.n_pulses + 1) - 0.5
     profiles = np.empty((config.n_pulses, n))
-    compensated = np.empty_like(profiles)
     peak_positions = np.empty(config.n_pulses)
     peak_values = np.empty(config.n_pulses)
     compensated_peaks = np.empty(config.n_pulses)
@@ -240,32 +263,31 @@ def run_search(config: CavityConfig) -> SearchTrace:
     at_edge = np.zeros(config.n_pulses, dtype=bool)
 
     coords = config.grid.coordinates
-    oracle = plate_phasor(config.oracle_plate, config.grid, 1)
-    iaa = _iaa_phasor(config, 1)
+    oracle = np.fft.ifftshift(plate_phasor(config.oracle_plate, config.grid, 1))
+    iaa = np.fft.ifftshift(_iaa_phasor(config, 1))
+    circulating = np.fft.ifftshift(config.input_field().amplitudes)
     for row, count in enumerate(iteration_counts):
         # Forward half pass, recorded in upright (oracle) orientation.
-        upright = _through_fourier_plane(apply_phasor(circulating, oracle), config, iaa, 0.5)
+        upright = _native_half_pass(np.multiply(oracle, circulating), iaa, scale)
 
-        intensity = config.output_mirror_transmission * upright.intensity
+        intensity = np.fft.fftshift(transmission * np.abs(upright) ** 2)
         profiles[row] = intensity
-        compensated[row] = intensity * loss_factor ** (-count)
         idx = int(np.argmax(intensity))
         peak_positions[row] = _lobe_center(intensity, coords)
         peak_values[row] = intensity[idx]
-        compensated_peaks[row] = compensated[row][idx]
+        compensated_peaks[row] = intensity[idx] * loss_factor ** (-count)
         energies[row] = float(np.sum(intensity) * config.grid.pitch)
         at_edge[row] = idx in (0, n - 1)
 
         # Backward half pass: flip to the physical output orientation,
         # traverse IAA and oracle once more, and arrive back upright.
-        returned = _through_fourier_plane(parity_flip(upright), config, iaa, 0.5)
-        circulating = apply_phasor(parity_flip(returned), oracle)
+        returned = _native_half_pass(_reverse_about_zero(upright), iaa, scale)
+        circulating = np.multiply(oracle, _reverse_about_zero(returned))
 
     return SearchTrace(
         grid=config.grid,
         iteration_counts=iteration_counts,
         profiles=profiles,
-        compensated_profiles=compensated,
         peak_positions=peak_positions,
         peak_values=peak_values,
         compensated_peak_values=compensated_peaks,

@@ -206,8 +206,16 @@ def parity_flip(field: ComplexField) -> ComplexField:
     what two successive centered transforms produce: sample 0 stays and
     the rest are reversed, so no index array is needed.
     """
-    a = field.amplitudes
-    return ComplexField(field.grid, np.concatenate((a[:1], a[:0:-1])))
+    return ComplexField(field.grid, _reverse_about_zero(field.amplitudes))
+
+
+def _reverse_about_zero(a: np.ndarray) -> np.ndarray:
+    """The permutation i -> (n - i) mod n of a 1-D array.
+
+    It is the parity flip in centered order and, because it commutes
+    with the half-length roll, in FFT-native (``ifftshift``) order too.
+    """
+    return np.concatenate((a[:1], a[:0:-1]))
 
 
 def total_energy(field: ComplexField) -> float:

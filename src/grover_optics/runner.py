@@ -55,12 +55,16 @@ def _column_blocks(*columns):
         yield row_fmt * len(block), block.ravel().tolist()
 
 
-def _profile_blocks(trace):
-    """Blocks of ``profiles.csv``, pulse by pulse; each x cell formatted once."""
+def _profile_blocks(trace, loss_factor: float):
+    """Blocks of ``profiles.csv``, pulse by pulse; each x cell formatted once.
+
+    The compensated column is computed here, one pulse at a time, as
+    ``profile * loss_factor ** (-count)`` with ``count`` the trace's own
+    float64 iteration count.
+    """
     x_rows = ["%.9g,%%.9g,%%.9g\n" % x for x in trace.grid.coordinates.tolist()]
-    for count, profile, compensated in zip(
-        trace.iteration_counts.tolist(), trace.profiles, trace.compensated_profiles
-    ):
+    for count, profile in zip(trace.iteration_counts, trace.profiles):
+        compensated = profile * loss_factor ** (-count)
         prefix = "%.9g," % count
         for start in range(0, len(x_rows), _BLOCK_ROWS):
             stop = start + _BLOCK_ROWS
@@ -120,13 +124,14 @@ def _search_summary(cfg: ExperimentConfig, trace) -> dict:
 
 
 def _run_search_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    trace = run_search(cfg.to_cavity_config())
+    cavity = cfg.to_cavity_config()
+    trace = run_search(cavity)
 
     if cfg.mode == "search":
         _write_table(
             out_dir / "profiles.csv",
             "iteration_count,x_m,intensity,compensated_intensity",
-            _profile_blocks(trace),
+            _profile_blocks(trace, cavity.loss.roundtrip_energy_factor),
         )
 
     peak_values = (

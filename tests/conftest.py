@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from grover_optics import CavityConfig, LossModel, TrapezoidPhasePlate
+from grover_optics.runner import _profile_blocks
 
 # Measured-plate experiment values: oracle flat widths with the ramp
 # each wire shadow produces, all at -1.1 rad per pass.
@@ -48,6 +49,13 @@ def ideal_cavity(flat_um: float = 42.0, n_pulses: int = 30, **overrides) -> Cavi
     )
     kwargs.update(overrides)
     return CavityConfig(**kwargs)
+
+
+def compensated_rows(trace, loss_factor: float) -> np.ndarray:
+    """The ``compensated_intensity`` column of ``profiles.csv``, unformatted,
+    one row per pulse, as the writer computes it."""
+    values = [v for _, block in _profile_blocks(trace, loss_factor) for v in block]
+    return np.array(values[1::2]).reshape(trace.profiles.shape)
 
 
 @pytest.fixture

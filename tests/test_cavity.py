@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from grover_optics import elements
+from grover_optics import cavity, elements
 from grover_optics import (
     CavityConfig,
     ConfigurationError,
     Grid1D,
     LossModel,
+    PeakTrace,
     Slit,
     TrapezoidPhasePlate,
     apply_plate,
@@ -18,10 +19,11 @@ from grover_optics import (
     pulse_train,
     run_search,
     build_config,
+    first_maximum,
     total_energy,
 )
 
-from conftest import PAPER_PLATES, ideal_cavity, paper_cavity
+from conftest import PAPER_PLATES, compensated_rows, ideal_cavity, paper_cavity
 
 
 def disabled_cavity(**overrides) -> CavityConfig:
@@ -84,7 +86,7 @@ class TestRunSearch:
         trace = run_search(config)
         assert trace.n_pulses == 12
         assert trace.profiles.shape == (12, config.grid.n_samples)
-        assert trace.compensated_profiles.shape == trace.profiles.shape
+        assert compensated_rows(trace, 0.75).shape == trace.profiles.shape
         assert np.allclose(trace.iteration_counts, np.arange(12) + 0.5)
         assert np.all(np.diff(trace.iteration_counts) == 1.0)
         assert not trace.peak_at_edge.any()
@@ -100,7 +102,8 @@ class TestRunSearch:
     def test_compensation_exactly_cancels_decay(self):
         config = paper_cavity(84.0)
         trace = run_search(config)
-        energies = np.sum(trace.compensated_profiles, axis=1) * config.grid.pitch
+        compensated = compensated_rows(trace, config.loss.roundtrip_energy_factor)
+        energies = np.sum(compensated, axis=1) * config.grid.pitch
         assert np.allclose(energies, 0.02, rtol=1e-9)
 
     def test_disabled_cavity_reimages_the_input_every_pulse(self):
@@ -153,6 +156,54 @@ class TestRunSearch:
         out = parity_flip(half_pass_forward(config.input_field(), config))
         expected = config.output_mirror_transmission * out.intensity
         assert np.array_equal(trace.profiles[0], expected)
+
+    @pytest.mark.parametrize("n_samples", [4096, 16384])
+    @pytest.mark.parametrize("preset", ["paper-42um", "ideal"])
+    def test_every_pulse_matches_the_field_chain_bit_for_bit(self, preset, n_samples):
+        # The pulse loop of run_search written with the checked
+        # ComplexField chain.  Both sizes matter: from 16384 samples on,
+        # numpy reuses temporaries in place, which changes a multiply's
+        # operand order and so its last bit.
+        config = build_config({"preset": preset, "grid_samples": n_samples}).to_cavity_config()
+        n = config.grid.n_samples
+        loss_factor = config.loss.roundtrip_energy_factor
+        coords = config.grid.coordinates
+        oracle = elements.plate_phasor(config.oracle_plate, config.grid, 1)
+        iaa = cavity._iaa_phasor(config, 1)
+        circulating = config.input_field()
+        rows = []
+        for count in np.arange(1, config.n_pulses + 1) - 0.5:
+            upright = cavity._through_fourier_plane(
+                elements.apply_phasor(circulating, oracle), config, iaa, 0.5
+            )
+            intensity = config.output_mirror_transmission * upright.intensity
+            idx = int(np.argmax(intensity))
+            rows.append((
+                intensity,
+                cavity._lobe_center(intensity, coords),
+                intensity[idx],
+                (intensity * loss_factor ** (-count))[idx],
+                float(np.sum(intensity) * config.grid.pitch),
+                idx in (0, n - 1),
+            ))
+            returned = cavity._through_fourier_plane(parity_flip(upright), config, iaa, 0.5)
+            circulating = elements.apply_phasor(parity_flip(returned), oracle)
+
+        trace = run_search(config)
+        names = ("profiles", "peak_positions", "peak_values", "compensated_peak_values",
+                 "total_energies", "peak_at_edge")
+        for name, expected in zip(names, zip(*rows)):
+            assert np.array_equal(getattr(trace, name), np.array(expected)), name
+
+    def test_pulse_loop_does_not_use_the_field_chain(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run_search called the ComplexField chain")
+
+        for name in ("dft_centered", "idft_centered", "parity_flip",
+                     "apply_roundtrip_loss", "apply_phasor", "ComplexField"):
+            monkeypatch.setattr(cavity, name, forbidden)
+        trace = run_search(paper_cavity(42.0, n_pulses=3, grid=Grid1D(4096, 2e-6)))
+        assert trace.n_pulses == 3
 
     @pytest.mark.parametrize("flat_um", sorted(PAPER_PLATES))
     def test_peak_locates_the_marked_line(self, flat_um):
@@ -210,6 +261,33 @@ class TestReducedModelAgreement:
             worst = max(worst, abs(fraction - predicted))
             field = grover_iterate(field, config)
         assert worst < 0.15
+
+
+class TestGridConvergence:
+    # The extent stays at 32.768 mm while the pitch halves: 4, 2 and
+    # 1 um at 8192, 16384 and 32768 samples.  paper-42um's first maximum
+    # still drifts at the default grid (its 4 um oracle ramp and 8 um
+    # IAA ramp are barely sampled), paper-126um's has converged.  These
+    # values were measured; a change to the grid defaults, or to the
+    # sampling, must update them on purpose.
+    GRIDS = ((8192, 4.0), (16384, 2.0), (32768, 1.0))
+
+    def first_maxima(self, preset):
+        found = []
+        for n_samples, pitch_um in self.GRIDS:
+            config = build_config(
+                {"preset": preset, "grid_samples": n_samples, "grid_pitch_um": pitch_um}
+            ).to_cavity_config()
+            found.append(first_maximum(PeakTrace.from_search_trace(run_search(config))))
+        return found
+
+    def test_paper_42um_first_maximum_drifts_with_the_pitch(self):
+        found = self.first_maxima("paper-42um")
+        assert found == pytest.approx([5.568, 5.417, 5.355], abs=0.005)
+
+    def test_paper_126um_first_maximum_has_converged(self):
+        found = self.first_maxima("paper-126um")
+        assert max(found) - min(found) < 2e-3
 
 
 class TestPulseTrain:

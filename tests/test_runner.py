@@ -57,14 +57,18 @@ def test_integer_and_missing_cells(tmp_path):
     assert path.read_text() == "point,v,s\n0,42,nan\n1,84,1.5\n2,1000000,9.00719925e+15\n"
 
 
-def column_stacked_profiles(trace):
+def column_stacked_profiles(trace, loss_factor):
     """The table ``profiles.csv`` held before it was written per pulse."""
     n = trace.grid.coordinates.size
+    compensated = [
+        profile * loss_factor ** (-count)
+        for count, profile in zip(trace.iteration_counts, trace.profiles)
+    ]
     return np.column_stack([
         np.repeat(trace.iteration_counts, n),
         np.tile(trace.grid.coordinates, trace.iteration_counts.size),
         trace.profiles.ravel(),
-        trace.compensated_profiles.ravel(),
+        np.concatenate(compensated),
     ])
 
 
@@ -75,17 +79,19 @@ def test_profile_blocks_match_savetxt_across_block_edges(tmp_path, n_samples):
         grid=SimpleNamespace(coordinates=np.linspace(-1e-3, 1e-3, n_samples)),
         iteration_counts=np.arange(n_pulses) + 0.5,
         profiles=edge_table(n_pulses, n_samples, seed=n_samples),
-        compensated_profiles=edge_table(n_pulses, n_samples, seed=n_samples + 1),
     )
     expected = savetxt_bytes(tmp_path / "expected.csv", PROFILE_HEADER,
-                             column_stacked_profiles(trace))
-    got = writer_bytes(tmp_path / "got.csv", PROFILE_HEADER, _profile_blocks(trace))
+                             column_stacked_profiles(trace, 0.75))
+    got = writer_bytes(tmp_path / "got.csv", PROFILE_HEADER, _profile_blocks(trace, 0.75))
     assert got == expected
 
 
 def test_profile_blocks_match_savetxt_on_a_search_trace(tmp_path):
-    trace = run_search(paper_cavity(42.0, n_pulses=4, grid=Grid1D(4096, 2e-6)))
+    config = paper_cavity(42.0, n_pulses=4, grid=Grid1D(4096, 2e-6))
+    trace = run_search(config)
+    loss_factor = config.loss.roundtrip_energy_factor
     expected = savetxt_bytes(tmp_path / "expected.csv", PROFILE_HEADER,
-                             column_stacked_profiles(trace))
-    got = writer_bytes(tmp_path / "got.csv", PROFILE_HEADER, _profile_blocks(trace))
+                             column_stacked_profiles(trace, loss_factor))
+    got = writer_bytes(tmp_path / "got.csv", PROFILE_HEADER,
+                       _profile_blocks(trace, loss_factor))
     assert got == expected
