@@ -26,13 +26,21 @@ Conventions used throughout:
 How a pulse is computed: ``half_pass_forward`` and ``grover_iterate``
 compose the checked public chain — ``ComplexField``, ``dft_centered``,
 ``idft_centered``, ``parity_flip`` — which validates grids at every
-step and returns a fresh field each time.  ``run_search`` repeats that
-chain for every pulse, so its loop instead keeps the circulating field
-as a plain array in FFT-native (``ifftshift``ed) order, with both plate
+step and returns a fresh field each time.  The pulse loop repeats that
+chain for every pulse, so it instead keeps the circulating field as a
+plain array in FFT-native (``ifftshift``ed) order, with both plate
 phasors shifted into that order once per run.  Every step is then either
 a permutation or the same arithmetic on the same operands as the chain,
 so the recorded intensities (``fftshift``ed back) are bit-identical to
 it; the tests use the chain as the oracle for the loop.
+
+The loop, ``_run_batch``, runs B compatible cavities at once (a sweep
+over oracle plates, say) along a leading batch axis: the circulating
+fields and oracle phasors are ``(B, n)`` arrays, the IAA phasor is one
+``(n,)`` array broadcast across the batch, and each half pass writes
+into the same preallocated buffers.  Each row's arithmetic is the
+single-cavity arithmetic, so batching changes no bit.  ``run_search``
+is the batch of one.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -134,7 +142,8 @@ class SearchTrace:
 
     Pulse j (1-based) appears at row j - 1 with iteration_count j - 0.5.
     ``profiles`` holds the recorded output intensities (scaled by the
-    output mirror transmission); ``compensated_peak_values`` additionally
+    output mirror transmission), or is ``None`` for a run that kept only
+    the measurements below; ``compensated_peak_values`` additionally
     multiply pulse j's peak by loss^-(j - 0.5), undoing the uniform decay
     the way the raw measurement data is rescaled for display.  Peaks that
     fall on the first or last grid sample are flagged, not fatal.
@@ -148,7 +157,7 @@ class SearchTrace:
 
     grid: Grid1D
     iteration_counts: np.ndarray
-    profiles: np.ndarray
+    profiles: np.ndarray | None
     peak_positions: np.ndarray
     peak_values: np.ndarray
     compensated_peak_values: np.ndarray
@@ -181,15 +190,24 @@ def _through_fourier_plane(
     return apply_roundtrip_loss(idft_centered(shifted, fgrid), config.loss, fraction)
 
 
-def _native_half_pass(field: np.ndarray, iaa: np.ndarray, scale: float) -> np.ndarray:
+def _native_half_pass(
+    field: np.ndarray, iaa: np.ndarray, scale: float, spectrum: np.ndarray
+) -> np.ndarray:
     """``_through_fourier_plane`` on FFT-native arrays: FFT, IAA, iFFT, loss.
 
-    ``iaa`` is the ``ifftshift``ed phasor and ``scale`` the amplitude
-    factor of the loss; the arithmetic is the chain's, operand for
-    operand, so the result is its output ``ifftshift``ed, bit for bit.
+    Works in place along the last axis: ``field`` (one row or a
+    ``(B, n)`` batch) is overwritten with the result and returned, and
+    ``spectrum``, of the same shape, holds the Fourier plane.  ``iaa``
+    is the ``ifftshift``ed ``(n,)`` phasor, broadcast over the batch, and
+    ``scale`` the amplitude factor of the loss.  The arithmetic is the
+    chain's, operand for operand, so the result is its output
+    ``ifftshift``ed, bit for bit.  ``out=`` on the fft functions needs
+    numpy 2.0, the package's declared floor.
     """
-    spectrum = np.multiply(iaa, np.fft.fft(field, norm="ortho"))
-    return np.fft.ifft(spectrum, norm="ortho") * scale
+    np.fft.fft(field, norm="ortho", out=spectrum)
+    np.multiply(iaa, spectrum, out=spectrum)
+    np.fft.ifft(spectrum, norm="ortho", out=field)
+    return np.multiply(field, scale, out=field)
 
 
 def half_pass_forward(field: ComplexField, config: CavityConfig) -> ComplexField:
@@ -238,62 +256,114 @@ def _lobe_center(intensity: np.ndarray, coords: np.ndarray) -> float:
     return float(np.sum(coords[lo : hi + 1] * segment) / np.sum(segment))
 
 
-def run_search(config: CavityConfig) -> SearchTrace:
-    """Run the full cavity experiment and record every output pulse.
+def _batch_key(config: CavityConfig) -> tuple:
+    """The settings that cavities run together by ``_run_batch`` share.
 
-    The circulating field is kept at the input mirror in the oracle
-    frame, in FFT-native order (see the module docstring).  Each loop
-    turn records the output-plane image (upright orientation, via the
-    forward half pass), then completes the roundtrip with the mirrored
-    backward half pass to advance the field.  Both plates act once per
-    half pass with the same mask, so each phasor is built once, before
-    the pulse loop.
+    Only the oracle plate and the input FWHM may differ between rows;
+    the slit and the second focal length do not enter the pulse loop.
     """
-    n = config.grid.n_samples
-    loss_factor = config.loss.roundtrip_energy_factor
+    return (config.grid, config.wavelength, config.focal_length_1, config.loss,
+            config.output_mirror_transmission, config.n_pulses, config.iaa_plate)
+
+
+def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[SearchTrace]:
+    """Run compatible cavities as the rows of one array; one trace each.
+
+    Every config must have the same ``_batch_key``.  The circulating
+    fields and oracle phasors are ``(B, n)`` arrays in FFT-native order,
+    the IAA phasor one ``(n,)`` array shared by every row, and each half
+    pass overwrites the same preallocated buffers.  All arithmetic is
+    row-wise, so each row's trace is bit-identical to running its config
+    alone.  Profiles are kept only if ``record_profiles``; otherwise the
+    traces' ``profiles`` are ``None``.
+    """
+    first = configs[0]
+    if any(_batch_key(config) != _batch_key(first) for config in configs):
+        raise ValueError(
+            "batched cavities may differ only in oracle plate and input FWHM"
+        )
+    rows, n, n_pulses = len(configs), first.grid.n_samples, first.n_pulses
+    loss_factor = first.loss.roundtrip_energy_factor
     scale = loss_factor ** (0.5 / 2.0)
-    transmission = config.output_mirror_transmission
+    transmission = first.output_mirror_transmission
+    pitch = first.grid.pitch
+    coords = first.grid.coordinates
+    half = (n + 1) // 2  # fftshift moves samples [half, n) to the front
 
-    iteration_counts = np.arange(1, config.n_pulses + 1) - 0.5
-    profiles = np.empty((config.n_pulses, n))
-    peak_positions = np.empty(config.n_pulses)
-    peak_values = np.empty(config.n_pulses)
-    compensated_peaks = np.empty(config.n_pulses)
-    energies = np.empty(config.n_pulses)
-    at_edge = np.zeros(config.n_pulses, dtype=bool)
+    iteration_counts = np.arange(1, n_pulses + 1) - 0.5
+    profiles = np.empty((rows, n_pulses, n)) if record_profiles else None
+    peak_positions = np.empty((rows, n_pulses))
+    peak_values = np.empty((rows, n_pulses))
+    compensated_peaks = np.empty((rows, n_pulses))
+    energies = np.empty((rows, n_pulses))
+    at_edge = np.zeros((rows, n_pulses), dtype=bool)
 
-    coords = config.grid.coordinates
-    oracle = np.fft.ifftshift(plate_phasor(config.oracle_plate, config.grid, 1))
-    iaa = np.fft.ifftshift(_iaa_phasor(config, 1))
-    circulating = np.fft.ifftshift(config.input_field().amplitudes)
+    oracle = np.fft.ifftshift(
+        np.stack([plate_phasor(c.oracle_plate, c.grid, 1) for c in configs]), axes=-1
+    )
+    iaa = np.fft.ifftshift(_iaa_phasor(first, 1))
+    circulating = np.fft.ifftshift(
+        np.stack([c.input_field().amplitudes for c in configs]), axes=-1
+    )
+    field = np.empty_like(circulating)
+    spectrum = np.empty_like(circulating)
+    power = np.empty((rows, n))
+    shifted = None if record_profiles else np.empty((rows, n))
     for row, count in enumerate(iteration_counts):
         # Forward half pass, recorded in upright (oracle) orientation.
-        upright = _native_half_pass(np.multiply(oracle, circulating), iaa, scale)
+        np.multiply(oracle, circulating, out=field)
+        _native_half_pass(field, iaa, scale, spectrum)
 
-        intensity = np.fft.fftshift(transmission * np.abs(upright) ** 2)
-        profiles[row] = intensity
-        idx = int(np.argmax(intensity))
-        peak_positions[row] = _lobe_center(intensity, coords)
-        peak_values[row] = intensity[idx]
-        compensated_peaks[row] = intensity[idx] * loss_factor ** (-count)
-        energies[row] = float(np.sum(intensity) * config.grid.pitch)
-        at_edge[row] = idx in (0, n - 1)
+        # transmission * |field|**2, fftshifted back to centered order.
+        np.abs(field, out=power)
+        np.square(power, out=power)
+        np.multiply(power, transmission, out=power)
+        intensity = profiles[:, row] if record_profiles else shifted
+        np.concatenate((power[:, half:], power[:, :half]), axis=-1, out=intensity)
+        for b, line in enumerate(intensity):
+            idx = int(np.argmax(line))
+            peak_positions[b, row] = _lobe_center(line, coords)
+            peak_values[b, row] = line[idx]
+            compensated_peaks[b, row] = line[idx] * loss_factor ** (-count)
+            energies[b, row] = float(np.sum(line) * pitch)
+            at_edge[b, row] = idx in (0, n - 1)
 
         # Backward half pass: flip to the physical output orientation,
         # traverse IAA and oracle once more, and arrive back upright.
-        returned = _native_half_pass(_reverse_about_zero(upright), iaa, scale)
-        circulating = np.multiply(oracle, _reverse_about_zero(returned))
+        _reverse_about_zero(field, out=circulating)
+        _native_half_pass(circulating, iaa, scale, spectrum)
+        _reverse_about_zero(circulating, out=field)
+        np.multiply(oracle, field, out=circulating)
 
-    return SearchTrace(
-        grid=config.grid,
-        iteration_counts=iteration_counts,
-        profiles=profiles,
-        peak_positions=peak_positions,
-        peak_values=peak_values,
-        compensated_peak_values=compensated_peaks,
-        total_energies=energies,
-        peak_at_edge=at_edge,
-    )
+    return [
+        SearchTrace(
+            grid=first.grid,
+            iteration_counts=iteration_counts.copy(),
+            profiles=None if profiles is None else profiles[b],
+            peak_positions=peak_positions[b],
+            peak_values=peak_values[b],
+            compensated_peak_values=compensated_peaks[b],
+            total_energies=energies[b],
+            peak_at_edge=at_edge[b],
+        )
+        for b in range(rows)
+    ]
+
+
+def run_search(config: CavityConfig, record_profiles: bool = True) -> SearchTrace:
+    """Run the full cavity experiment and record every output pulse.
+
+    This is ``_run_batch`` with a batch of one.  The circulating field
+    is kept at the input mirror in the oracle frame, in FFT-native order
+    (see the module docstring).  Each loop turn records the output-plane
+    image (upright orientation, via the forward half pass), then
+    completes the roundtrip with the mirrored backward half pass to
+    advance the field.  Both plates act once per half pass with the same
+    mask, so each phasor is built once, before the pulse loop.  With
+    ``record_profiles`` false the trace keeps only the per-pulse
+    measurements and its ``profiles`` is ``None``.
+    """
+    return _run_batch([config], record_profiles)[0]
 
 
 def pulse_train(

@@ -209,13 +209,14 @@ def parity_flip(field: ComplexField) -> ComplexField:
     return ComplexField(field.grid, _reverse_about_zero(field.amplitudes))
 
 
-def _reverse_about_zero(a: np.ndarray) -> np.ndarray:
-    """The permutation i -> (n - i) mod n of a 1-D array.
+def _reverse_about_zero(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The permutation i -> (n - i) mod n along the last axis of ``a``.
 
     It is the parity flip in centered order and, because it commutes
     with the half-length roll, in FFT-native (``ifftshift``) order too.
+    ``out``, if given, receives the result and must not overlap ``a``.
     """
-    return np.concatenate((a[:1], a[:0:-1]))
+    return np.concatenate((a[..., :1], a[..., :0:-1]), axis=-1, out=out)
 
 
 def total_energy(field: ComplexField) -> float:

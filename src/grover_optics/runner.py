@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analysis, reference
 from ._version import __version__
-from .cavity import pulse_train, run_search
+from .cavity import _batch_key, _run_batch, pulse_train, run_search
 from .config import ExperimentConfig, build_config
 from .errors import ConfigurationError, MeasurementError
 
@@ -123,15 +123,13 @@ def _search_summary(cfg: ExperimentConfig, trace) -> dict:
     return summary
 
 
-def _run_search_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    cavity = cfg.to_cavity_config()
-    trace = run_search(cavity)
-
+def _write_search_outputs(cfg: ExperimentConfig, trace, out_dir: Path) -> dict:
+    """Write a search or analyze run's files for ``trace``; return its summary."""
     if cfg.mode == "search":
         _write_table(
             out_dir / "profiles.csv",
             "iteration_count,x_m,intensity,compensated_intensity",
-            _profile_blocks(trace, cavity.loss.roundtrip_energy_factor),
+            _profile_blocks(trace, cfg.roundtrip_energy_factor),
         )
 
     peak_values = (
@@ -216,7 +214,31 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         return _run_reference_mode(cfg, out)
     if cfg.mode == "pulse-train":
         return _run_pulse_train_mode(cfg, out)
-    return _run_search_mode(cfg, out)
+    trace = run_search(cfg.to_cavity_config(), record_profiles=cfg.mode == "search")
+    return _write_search_outputs(cfg, trace, out)
+
+
+# Bytes of complex128 field rows per batched kernel call: 2 rows at
+# 16384 samples, 8 at 4096, 1 at 65536.  Larger batches ran faster per
+# row, but their buffers raised a sweep's peak RSS beyond its budget.
+_BATCH_BYTES = 512 * 1024
+
+
+def _batch_chunks(cavities: list) -> list[list[int]]:
+    """Point indices in consecutive chunks that ``_run_batch`` can take.
+
+    Points are grouped by ``_batch_key`` (first appearance first, point
+    order within a group), and each group is cut into chunks of at most
+    ``_BATCH_BYTES`` of complex128 rows, at least one row each.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for index, cavity in enumerate(cavities):
+        groups.setdefault(_batch_key(cavity), []).append(index)
+    chunks = []
+    for members in groups.values():
+        rows = max(1, _BATCH_BYTES // (16 * cavities[members[0]].grid.n_samples))
+        chunks += [members[i:i + rows] for i in range(0, len(members), rows)]
+    return chunks
 
 
 def _set_by_path(raw: dict, dotted: str, value: float) -> None:
@@ -251,10 +273,13 @@ def _sweep_scalars(cfg_mode: str, summary: dict) -> list:
 def sweep(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     """Cartesian-product sweep over the configured axes.
 
-    Each grid point becomes an independent run in ``point_NNN/`` under
-    the output directory, executed by up to ``cfg.workers`` threads;
-    the aggregate table ``sweep.csv`` is keyed by the swept values in
-    deterministic (row-major product) order.  With no axes configured
+    Each grid point becomes a run in ``point_NNN/`` under the output
+    directory; the aggregate table ``sweep.csv`` is keyed by the swept
+    values in deterministic (row-major product) order.  Search and
+    analyze points run in chunks of compatible cavities, one
+    ``_run_batch`` call each (see ``_batch_chunks``); other modes run
+    point by point.  Up to ``cfg.workers`` threads share the chunks, and
+    no output depends on how many.  With no axes configured
     this degenerates to a single ordinary run.  Every point is built
     and validated before anything is written, so a sweep with one bad
     point raises ``ConfigurationError`` and leaves ``out_dir`` untouched.
@@ -280,14 +305,31 @@ def sweep(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def _execute(index: int) -> dict:
-        return run(point_configs[index], out / f"point_{index:03d}")
+    batched = cfg.mode in ("search", "analyze")
+    if batched:
+        cavities = [point.to_cavity_config() for point in point_configs]
+        chunks = _batch_chunks(cavities)
+    else:
+        chunks = [[index] for index in range(len(point_configs))]
+
+    def _execute(chunk: list[int]) -> list[dict]:
+        if not batched:
+            return [run(point_configs[i], out / f"point_{i:03d}") for i in chunk]
+        traces = _run_batch([cavities[i] for i in chunk], cfg.mode == "search")
+        summaries = []
+        for i, trace in zip(chunk, traces):
+            point_dir = out / f"point_{i:03d}"
+            point_dir.mkdir(exist_ok=True)
+            summaries.append(_write_search_outputs(point_configs[i], trace, point_dir))
+        return summaries
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            summaries = list(pool.map(_execute, range(len(combos))))
+            results = list(pool.map(_execute, chunks))
     else:
-        summaries = [_execute(i) for i in range(len(combos))]
+        results = [_execute(chunk) for chunk in chunks]
+    by_index = dict(zip(itertools.chain(*chunks), itertools.chain(*results)))
+    summaries = [by_index[index] for index in range(len(combos))]
 
     value_columns = _SWEEP_COLUMNS[cfg.mode]
     header = ",".join(

@@ -1,5 +1,17 @@
+import os
+
 import numpy as np
 import pytest
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # HYPOTHESIS_PROFILE=ci runs the same examples every time, so a
+    # property that fails in CI fails the same way locally.
+    settings.register_profile("ci", derandomize=True, deadline=None)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 from grover_optics import CavityConfig, LossModel, TrapezoidPhasePlate
 from grover_optics.runner import _profile_blocks

@@ -226,6 +226,43 @@ class TestRunSearch:
         run_search(config)
         assert calls == [config.oracle_plate, config.iaa_plate]
 
+    def test_batch_builds_each_oracle_mask_and_one_iaa_mask(self, monkeypatch):
+        calls = []
+        original = elements.phase_profile
+
+        def counted(plate, grid):
+            calls.append(plate)
+            return original(plate, grid)
+
+        monkeypatch.setattr(elements, "phase_profile", counted)
+        configs = [paper_cavity(flat_um, n_pulses=2, grid=Grid1D(4096, 2e-6))
+                   for flat_um in sorted(PAPER_PLATES)]
+        cavity._run_batch(configs, record_profiles=False)
+        assert calls == [config.oracle_plate for config in configs] + [configs[0].iaa_plate]
+
+    def test_analyze_sweep_points_batched_equal_single_runs_bit_for_bit(self):
+        # The benchmark's analyze sweep: three oracle widths at four
+        # centers, all twelve in one batch.
+        configs = [
+            build_config({"preset": "paper-42um", "grid_samples": 4096,
+                          "oracle": {"flat_width_um": flat_um, "center_um": center_um}}
+                         ).to_cavity_config()
+            for flat_um in (42.0, 84.0, 126.0)
+            for center_um in (-450.0, -150.0, 150.0, 450.0)
+        ]
+        names = ("iteration_counts", "profiles", "peak_positions", "peak_values",
+                 "compensated_peak_values", "total_energies", "peak_at_edge")
+        batch = cavity._run_batch(configs, record_profiles=True)
+        for config, batched in zip(configs, batch):
+            single = run_search(config)
+            for name in names:
+                assert np.array_equal(getattr(batched, name), getattr(single, name)), name
+
+    def test_batch_rejects_cavities_that_differ_beyond_the_oracle(self):
+        configs = [paper_cavity(42.0, n_pulses=2), paper_cavity(84.0, n_pulses=3)]
+        with pytest.raises(ValueError, match="oracle plate and input FWHM"):
+            cavity._run_batch(configs, record_profiles=False)
+
     def test_lossless_cavity_conserves_recorded_energy(self):
         config = ideal_cavity(42.0, n_pulses=10)
         trace = run_search(config)

@@ -162,6 +162,24 @@ class TestReferenceCommand:
         assert len(lines) == 1 + 4
 
 
+def sweep_files(out_dir):
+    """Every file under a sweep's output directory, by relative path: the
+    bytes, except each point summary, parsed and without its config's
+    ``workers`` echo."""
+    files = {}
+    for path in sorted(out_dir.rglob("*")):
+        if path.is_dir():
+            continue
+        name = path.relative_to(out_dir).as_posix()
+        if name.startswith("point_") and path.name == "summary.json":
+            summary = json.loads(path.read_text())
+            del summary["config"]["workers"]
+            files[name] = summary
+        else:
+            files[name] = path.read_bytes()
+    return files
+
+
 class TestSweepCommand:
     def sweep_config(self, tmp_path, **extra):
         return write_config(
@@ -201,6 +219,39 @@ class TestSweepCommand:
              "--workers", "3"]
         ) == 0
         assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["search", "analyze"])
+    @pytest.mark.parametrize(
+        "second_axis",
+        [
+            # one group of six compatible points: at 8192 samples a
+            # kernel batch holds four, so the chunks are uneven
+            {"parameter": "oracle.center_um", "values": [-150.0, 150.0]},
+            # n_pulses puts alternate points into two groups
+            {"parameter": "n_pulses", "values": [6.0, 8.0]},
+        ],
+        ids=["one-group", "two-groups"],
+    )
+    def test_sweep_outputs_do_not_depend_on_workers(self, tmp_path, mode, second_axis):
+        cfg = write_config(
+            tmp_path,
+            preset="paper-42um",
+            mode=mode,
+            n_pulses=8,
+            grid_samples=8192,
+            grid_pitch_um=2.0,
+            sweep=[{"parameter": "oracle.flat_width_um", "values": [42.0, 84.0, 126.0]},
+                   second_axis],
+        )
+        outputs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"workers_{workers}"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                         "--workers", str(workers)]) == 0
+            outputs.append(sweep_files(out))
+        assert sum(name.endswith("/peaks.csv") for name in outputs[0]) == 6
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
     def test_unknown_sweep_parameter_exits_2(self, tmp_path):
         cfg = write_config(

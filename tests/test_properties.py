@@ -1,11 +1,18 @@
 """Properties of the FFT-native pulse loop, on random complex arrays.
 
 ``run_search`` keeps its field in FFT-native (``ifftshift``ed) order and
-relies on three facts checked here for every power of two from 16 to
+relies on four facts checked here for every power of two from 16 to
 4096 samples: the parity flip has the same formula in both orders, two
-unitary FFTs are that flip, and one native half pass is the checked
-``ComplexField`` chain, bit for bit.
+unitary FFTs are that flip, one native half pass is the checked
+``ComplexField`` chain, bit for bit, and a batch of rows is that many
+one-row runs, bit for bit.  Below 16384 samples numpy computes some
+operations in different temporaries than above, so these sizes are
+checked on their own.  Two more facts close the file: the centered
+transform preserves energy, and ``first_maximum`` ignores a uniform
+scale of the peak values.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,9 +23,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from grover_optics import (  # noqa: E402
     CavityConfig,
     ComplexField,
+    FourierGrid,
     Grid1D,
     LossModel,
+    MeasurementError,
+    PeakTrace,
     TrapezoidPhasePlate,
+    cavity,
+    dft_centered,
+    first_maximum,
     parity_flip,
 )
 from grover_optics.cavity import _native_half_pass, _through_fourier_plane  # noqa: E402
@@ -62,5 +75,73 @@ def test_native_half_pass_is_the_field_chain_bit_for_bit(n, seed, factor):
     iaa = np.exp(1j * np.random.default_rng(seed + 1).uniform(-np.pi, np.pi, n))
     chain = _through_fourier_plane(ComplexField(grid, a), config, iaa, 0.5)
     native = _native_half_pass(np.fft.ifftshift(a), np.fft.ifftshift(iaa),
-                               factor ** (0.5 / 2.0))
+                               factor ** (0.5 / 2.0), np.empty(n, dtype=complex))
     assert np.array_equal(native, np.fft.ifftshift(chain.amplitudes))
+
+
+TRACE_FIELDS = ("iteration_counts", "profiles", "peak_positions", "peak_values",
+                "compensated_peak_values", "total_energies", "peak_at_edge")
+
+
+@settings(deadline=None)
+@given(n=sizes, rows=st.integers(min_value=1, max_value=5), seed=seeds,
+       factor=st.floats(min_value=0.05, max_value=1.0),
+       n_pulses=st.integers(min_value=1, max_value=3), record=st.booleans())
+def test_batched_kernel_is_the_one_row_kernel_bit_for_bit(n, rows, seed, factor,
+                                                          n_pulses, record):
+    # Plates that fit any of these grids, told apart by their depth; the
+    # kernel sees random phasors in their place (a plate phasor is 1 off
+    # its support, where the operand order of a multiply cannot show).
+    grid = Grid1D(n, 2e-6)
+    iaa_plate = TrapezoidPhasePlate(center=0.0, flat_width=1e-6, ramp_width=0.0,
+                                    phase_depth=0.0)
+    oracle_plates = [
+        TrapezoidPhasePlate(center=0.0, flat_width=1e-6, ramp_width=0.0,
+                            phase_depth=0.1 * (k + 1))
+        for k in range(rows)
+    ]
+    rng = np.random.default_rng(seed)
+    phasors = {plate: np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+               for plate in (iaa_plate, *oracle_plates)}
+    configs = [
+        CavityConfig(oracle_plate=plate, iaa_plate=iaa_plate,
+                     input_fwhm=grid.extent / (6 + k), loss=LossModel(factor),
+                     grid=grid, n_pulses=n_pulses)
+        for k, plate in enumerate(oracle_plates)
+    ]
+    with mock.patch.object(cavity, "plate_phasor",
+                           lambda plate, grid, passes: phasors[plate]):
+        batch = cavity._run_batch(configs, record)
+        singles = [cavity._run_batch([config], record)[0] for config in configs]
+    for batched, single in zip(batch, singles):
+        for name in TRACE_FIELDS:
+            if name == "profiles" and not record:
+                assert batched.profiles is None and single.profiles is None
+            else:
+                assert np.array_equal(getattr(batched, name), getattr(single, name)), name
+
+
+@settings(deadline=None)
+@given(n=sizes, seed=seeds)
+def test_centered_transform_preserves_energy(n, seed):
+    grid = Grid1D(n, 2e-6)
+    a = random_field(n, seed)
+    out = dft_centered(ComplexField(grid, a), FourierGrid(grid, 532e-9, 0.4))
+    before, after = np.sum(np.abs(a) ** 2), np.sum(np.abs(out.amplitudes) ** 2)
+    assert abs(after - before) <= 1e-12 * before
+
+
+@given(values=st.lists(st.integers(min_value=1, max_value=1000), min_size=3,
+                       max_size=20),
+       factor=st.floats(min_value=1e-3, max_value=1e3))
+def test_first_maximum_ignores_a_uniform_scale(values, factor):
+    counts = np.arange(len(values)) + 0.5
+    peaks = np.array(values, dtype=float)
+    try:
+        expected = first_maximum(PeakTrace(counts, peaks, counts))
+    except MeasurementError:
+        with pytest.raises(MeasurementError):
+            first_maximum(PeakTrace(counts, peaks * factor, counts))
+        return
+    found = first_maximum(PeakTrace(counts, peaks * factor, counts))
+    assert abs(found - expected) <= 1e-12 * abs(expected)

@@ -1,13 +1,17 @@
-"""The block table writer against ``np.savetxt``, its byte-for-byte reference."""
+"""The block table writer against ``np.savetxt``, its byte-for-byte
+reference; what search and analyze runs keep and write; how a sweep's
+points are cut into kernel batches."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from grover_optics import runner
 from grover_optics.cavity import run_search
+from grover_optics.config import build_config
 from grover_optics.fields import Grid1D
-from grover_optics.runner import _column_blocks, _profile_blocks, _write_table
+from grover_optics.runner import _batch_chunks, _column_blocks, _profile_blocks, _write_table
 
 from conftest import paper_cavity
 
@@ -95,3 +99,53 @@ def test_profile_blocks_match_savetxt_on_a_search_trace(tmp_path):
     got = writer_bytes(tmp_path / "got.csv", PROFILE_HEADER,
                        _profile_blocks(trace, loss_factor))
     assert got == expected
+
+
+def small_run_config(mode):
+    return build_config({"preset": "paper-42um", "mode": mode, "grid_samples": 4096})
+
+
+def test_analyze_mode_writes_search_modes_peaks(tmp_path):
+    for mode in ("search", "analyze"):
+        runner.run(small_run_config(mode), tmp_path / mode)
+    peaks = [(tmp_path / mode / "peaks.csv").read_bytes() for mode in ("search", "analyze")]
+    assert peaks[0] == peaks[1]
+    assert not (tmp_path / "analyze" / "profiles.csv").exists()
+
+
+def test_only_search_mode_keeps_profiles(tmp_path, monkeypatch):
+    traces = []
+
+    def keep(config, **kwargs):
+        traces.append(run_search(config, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(runner, "run_search", keep)
+    runner.run(small_run_config("search"), tmp_path / "search")
+    runner.run(small_run_config("analyze"), tmp_path / "analyze")
+    assert traces[0].profiles.shape == (12, 4096)
+    assert traces[1].profiles is None
+
+
+def sweep_cavities(grid_samples, flat_widths, **overrides):
+    return [
+        build_config({"preset": "paper-42um", "grid_samples": grid_samples,
+                      "oracle": {"flat_width_um": flat_um}, **overrides}).to_cavity_config()
+        for flat_um in flat_widths
+    ]
+
+
+@pytest.mark.parametrize("grid_samples, rows", [(4096, 8), (16384, 2), (65536, 1)])
+def test_batch_chunks_hold_half_a_mebibyte_of_rows(grid_samples, rows):
+    cavities = sweep_cavities(grid_samples, [42.0, 84.0, 126.0] * 3)
+    chunks = _batch_chunks(cavities)
+    assert [len(chunk) for chunk in chunks[:-1]] == [rows] * (len(chunks) - 1)
+    assert [i for chunk in chunks for i in chunk] == list(range(9))
+
+
+def test_batch_chunks_split_incompatible_points():
+    cavities = []
+    for flat_um in (42.0, 84.0, 126.0):
+        for n_pulses in (6, 8):
+            cavities += sweep_cavities(4096, [flat_um], n_pulses=n_pulses)
+    assert _batch_chunks(cavities) == [[0, 2, 4], [1, 3, 5]]
