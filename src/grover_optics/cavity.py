@@ -125,6 +125,22 @@ class CavityConfig:
             )
         check_plate_fits(self.oracle_plate, self.grid, "oracle")
         check_plate_fits(self.iaa_plate, self.fourier_grid.as_grid(), "IAA")
+        if self.slit is not None:
+            self._check_slit_overlaps_grid()
+
+    def _check_slit_overlaps_grid(self) -> None:
+        """A slit that misses every sample cell would record 0 energy for
+        every pulse and nan for every ratio."""
+        # Outer edges of the first and last sample cells.
+        half, pitch = self.grid.n_samples // 2, self.grid.pitch
+        first, last = -(half + 0.5) * pitch, (half - 0.5) * pitch
+        lo = self.slit.center - self.slit.width / 2
+        hi = self.slit.center + self.slit.width / 2
+        if hi <= first or lo >= last:
+            raise ConfigurationError(
+                f"slit window [{lo:.6g}, {hi:.6g}] m does not overlap the "
+                f"grid's extent [{first:.6g}, {last:.6g}] m"
+            )
 
     @property
     def fourier_grid(self) -> FourierGrid:

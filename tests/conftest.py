@@ -14,7 +14,6 @@ else:
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 from grover_optics import CavityConfig, LossModel, TrapezoidPhasePlate
-from grover_optics.runner import _profile_blocks
 
 # Measured-plate experiment values: oracle flat widths with the ramp
 # each wire shadow produces, all at -1.1 rad per pass.
@@ -65,9 +64,12 @@ def ideal_cavity(flat_um: float = 42.0, n_pulses: int = 30, **overrides) -> Cavi
 
 def compensated_rows(trace, loss_factor: float) -> np.ndarray:
     """The ``compensated_intensity`` column of ``profiles.csv``, unformatted,
-    one row per pulse, as the writer computes it."""
-    values = [v for _, block in _profile_blocks(trace, loss_factor) for v in block]
-    return np.array(values[1::2]).reshape(trace.profiles.shape)
+    one row per pulse: ``profile * loss_factor ** (-count)``, with ``count``
+    the trace's float64 iteration count, as the writer computes it."""
+    return np.array([
+        profile * loss_factor ** (-count)
+        for count, profile in zip(trace.iteration_counts, trace.profiles)
+    ])
 
 
 @pytest.fixture

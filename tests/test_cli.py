@@ -114,6 +114,14 @@ class TestErrorPaths:
         assert not out.exists()
         assert "workers" in capsys.readouterr().err
 
+    def test_slit_off_the_grid_exits_2_before_writing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, preset="paper-42um", slit_center_um=100000.0,
+                           **SMALL_GRID)
+        out = tmp_path / "out"
+        assert main(["pulse-train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "slit window" in capsys.readouterr().err
+
     def test_missing_config_file_exits_4(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 4
 
@@ -269,6 +277,8 @@ class TestSweepCommand:
             ("oracle.center_um", [150.0, 200.0, 1e6]),
             # schema violation on the second point
             ("wavelength_nm", [532.0, -5.0]),
+            # the second slit misses the grid
+            ("slit_center_um", [150.0, 100000.0]),
         ],
     )
     def test_invalid_point_exits_2_before_writing(

@@ -143,6 +143,18 @@ class TestUnitConversion:
         ).to_cavity_config()
         assert cavity.slit.center == pytest.approx(-30e-6)
 
+    @pytest.mark.parametrize("center_um", [100000.0, -100000.0])
+    def test_slit_that_misses_the_grid_is_rejected(self, center_um):
+        # At 4096 samples of 2 um the cells span [-4097, 4095] um.
+        with pytest.raises(ConfigurationError, match="slit window .* grid's extent"):
+            build_config({"preset": "paper-42um", "grid_samples": 4096,
+                          "slit_center_um": center_um})
+
+    def test_slit_that_clips_the_grid_edge_is_kept(self):
+        cavity = build_config({"preset": "paper-42um", "grid_samples": 4096,
+                               "slit_center_um": 4100.0}).to_cavity_config()
+        assert cavity.slit.center == pytest.approx(4100e-6)
+
     def test_defaults_round_trip_through_dump(self):
         cfg = ExperimentConfig()
         again = ExperimentConfig.model_validate(cfg.model_dump())

@@ -7,18 +7,20 @@ unitary FFTs are that flip, one native half pass is the checked
 ``ComplexField`` chain, bit for bit, and a batch of rows is that many
 one-row runs, bit for bit.  Below 16384 samples numpy computes some
 operations in different temporaries than above, so these sizes are
-checked on their own.  Two more facts close the file: the centered
-transform preserves energy, and ``first_maximum`` ignores a uniform
-scale of the peak values.
+checked on their own.  Two more facts follow: the centered transform
+preserves energy, and ``first_maximum`` ignores a uniform scale of the
+peak values.  The file closes with the table writer's cell formatter,
+which must spell every float64 exactly as ``'%.9g' % v`` does.
 """
 
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from grover_optics import (  # noqa: E402
     CavityConfig,
@@ -36,6 +38,7 @@ from grover_optics import (  # noqa: E402
 )
 from grover_optics.cavity import _native_half_pass, _through_fourier_plane  # noqa: E402
 from grover_optics.fields import _reverse_about_zero  # noqa: E402
+from grover_optics.runner import _FAST_MIN_CELLS, _CellFormatter  # noqa: E402
 
 sizes = st.integers(min_value=4, max_value=12).map(lambda k: 2**k)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -145,3 +148,64 @@ def test_first_maximum_ignores_a_uniform_scale(values, factor):
         return
     found = first_maximum(PeakTrace(counts, peaks * factor, counts))
     assert abs(found - expected) <= 1e-12 * abs(expected)
+
+
+def formatted(values: np.ndarray) -> list[str]:
+    """The writer's cell text for each value, through its fast path: the
+    values are repeated to fill one chunk long enough to take it."""
+    values = np.resize(values, max(values.size, _FAST_MIN_CELLS))
+    cells = np.empty(values.shape + (16,), dtype=np.uint8)
+    _CellFormatter(values.size)(values, cells)
+    return [bytes(cell).rstrip(b"\0").decode() for cell in cells]
+
+
+def percent(values: np.ndarray) -> list[str]:
+    values = np.resize(values, max(values.size, _FAST_MIN_CELLS))
+    return ["%.9g" % value for value in values.tolist()]
+
+
+def nudged(value: float, ulps: int) -> float:
+    """``value`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        value = float(np.nextafter(value, np.inf if ulps > 0 else -np.inf))
+    return value
+
+
+@given(bits=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1,
+                     max_size=40))
+def test_cells_spell_any_bit_pattern_as_percent_9g(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert formatted(values) == percent(values)
+
+
+@given(digits=st.integers(min_value=10**8, max_value=10**9 - 1),
+       exponent=st.integers(min_value=-330, max_value=299),
+       ulps=st.integers(min_value=-3, max_value=3))
+def test_cells_round_near_ties_as_percent_9g(digits, exponent, ulps):
+    # The double nearest to a rounding tie of the 9th digit, and its
+    # neighbours: the scaled value lands within the tie margin.
+    tie = float(Fraction(2 * digits + 1, 2) * Fraction(10) ** exponent)
+    values = np.array([nudged(tie, ulps), -nudged(tie, ulps)])
+    assert formatted(values) == percent(values)
+
+
+@given(exponent=st.integers(min_value=-332, max_value=298),
+       below=st.integers(min_value=1, max_value=2**30 - 1))
+def test_cells_carry_across_a_power_of_ten_as_percent_9g(exponent, below):
+    # Less than half a unit of the 9th digit under 10**(exponent + 9), so
+    # '%.9g' rounds up to that power: 9.9999999996e-05 -> 0.0001 and
+    # 999999999.6 -> 1e+09 switch notation on the way.
+    value = float((10**9 - Fraction(below, 2**31)) * Fraction(10) ** exponent)
+    values = np.array([value, -value])
+    assert formatted(values) == percent(values)
+
+
+@example(values=[0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308])
+@example(values=[9.9999999996e-05, 999999999.6, 1e100, -1.5e-100, 1e-290, 1e290])
+@given(values=st.lists(st.one_of(st.floats(), st.floats(min_value=1e100),
+                                 st.floats(max_value=-1e100),
+                                 st.floats(min_value=-1e-100, max_value=1e-100)),
+                       min_size=1, max_size=40))
+def test_cells_spell_special_and_extreme_values_as_percent_9g(values):
+    values = np.array(values, dtype=np.float64)
+    assert formatted(values) == percent(values)

@@ -1,7 +1,8 @@
-"""The block table writer against ``np.savetxt``, its byte-for-byte
-reference; what search and analyze runs keep and write; how a sweep's
-points are cut into kernel batches."""
+"""The table writer and its ``%.9g`` cell formatter against
+``np.savetxt``, their byte-for-byte reference; what search and analyze
+runs keep and write; how a sweep's points are cut into kernel batches."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,15 @@ from grover_optics import runner
 from grover_optics.cavity import run_search
 from grover_optics.config import build_config
 from grover_optics.fields import Grid1D
-from grover_optics.runner import _batch_chunks, _column_blocks, _profile_blocks, _write_table
+from grover_optics.runner import (
+    _EXPONENTS,
+    _FAST_MIN_CELLS,
+    _POW10,
+    _CellFormatter,
+    _batch_chunks,
+    _profile_columns,
+    _write_table,
+)
 
 from conftest import paper_cavity
 
@@ -19,6 +28,12 @@ EDGE_VALUES = [
     np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300,
     1e-300, -1e-300, 2.0**53, -(2.0**53), 2.0**53 + 2, 0.5, -1.5, 2.5,
     11.5, 1 / 3, 123456789.5, 1.2345678949999999,
+    # Round up across a power of ten, at and away from the notation switch.
+    9.9999999996e-05, -9.9999999996e-05, 999999999.6, -999999999.6,
+    9.99999999949e-05, 99999999.995, 9.9999999996e99, 9.9999999996e-101,
+    # Three-digit exponents, the fast path's range ends and subnormals.
+    1e100, -1.5e-100, 1e-290, 1e290, 9.99999999e289, 2.2250738585072014e-308,
+    1e-310, -4.9406564584124654e-324,
 ]
 PROFILE_HEADER = "iteration_count,x_m,intensity,compensated_intensity"
 
@@ -28,9 +43,16 @@ def savetxt_bytes(path, header, table):
     return path.read_bytes()
 
 
-def writer_bytes(path, header, blocks):
-    _write_table(path, header, blocks)
+def writer_bytes(path, header, columns):
+    _write_table(path, header, columns)
     return path.read_bytes()
+
+
+def format_cells(values, chunk):
+    """Each value's cell, as the table writer's formatter fills it."""
+    cells = np.empty(values.shape + (16,), dtype=np.uint8)
+    _CellFormatter(chunk)(values, cells)
+    return cells
 
 
 def edge_table(n_rows, n_cols, seed):
@@ -45,19 +67,18 @@ def edge_table(n_rows, n_cols, seed):
     return table
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 513])
+@pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 513, 4095, 4096, 4097, 8193])
 def test_column_table_matches_savetxt(tmp_path, n_rows):
     table = edge_table(n_rows, 3, seed=n_rows)
     header = "a,b,c"
     expected = savetxt_bytes(tmp_path / "expected.csv", header, table)
-    got = writer_bytes(tmp_path / "got.csv", header, _column_blocks(*table.T))
+    got = writer_bytes(tmp_path / "got.csv", header, list(table.T))
     assert got == expected
 
 
 def test_integer_and_missing_cells(tmp_path):
     path = tmp_path / "sweep.csv"
-    _write_table(path, "point,v,s", _column_blocks(range(3), [42.0, 84.0, 1e6],
-                                                   [None, 1.5, 2.0**53]))
+    _write_table(path, "point,v,s", [range(3), [42.0, 84.0, 1e6], [None, 1.5, 2.0**53]])
     assert path.read_text() == "point,v,s\n0,42,nan\n1,84,1.5\n2,1000000,9.00719925e+15\n"
 
 
@@ -76,7 +97,7 @@ def column_stacked_profiles(trace, loss_factor):
     ])
 
 
-@pytest.mark.parametrize("n_samples", [1, 255, 256, 257, 513])
+@pytest.mark.parametrize("n_samples", [1, 255, 256, 257, 513, 4095, 4097])
 def test_profile_blocks_match_savetxt_across_block_edges(tmp_path, n_samples):
     n_pulses = 3
     trace = SimpleNamespace(
@@ -86,7 +107,7 @@ def test_profile_blocks_match_savetxt_across_block_edges(tmp_path, n_samples):
     )
     expected = savetxt_bytes(tmp_path / "expected.csv", PROFILE_HEADER,
                              column_stacked_profiles(trace, 0.75))
-    got = writer_bytes(tmp_path / "got.csv", PROFILE_HEADER, _profile_blocks(trace, 0.75))
+    got = writer_bytes(tmp_path / "got.csv", PROFILE_HEADER, _profile_columns(trace, 0.75))
     assert got == expected
 
 
@@ -97,8 +118,34 @@ def test_profile_blocks_match_savetxt_on_a_search_trace(tmp_path):
     expected = savetxt_bytes(tmp_path / "expected.csv", PROFILE_HEADER,
                              column_stacked_profiles(trace, loss_factor))
     got = writer_bytes(tmp_path / "got.csv", PROFILE_HEADER,
-                       _profile_blocks(trace, loss_factor))
+                       _profile_columns(trace, loss_factor))
     assert got == expected
+
+
+def test_powers_of_ten_are_correctly_rounded():
+    # Python's int-to-float conversion and int true division both round
+    # correctly, so these are the nearest doubles to 10**k.
+    exact = [float(10**k) if k >= 0 else 1 / 10**-k for k in _EXPONENTS.tolist()]
+    assert _POW10.tolist() == exact
+
+
+def test_cells_are_the_percent_format(rng):
+    values = rng.standard_normal((64, 3)) * 10.0 ** rng.integers(-320, 300, (64, 3))
+    values.flat[:len(EDGE_VALUES)] = EDGE_VALUES
+    # One chunk takes the fast path; the short last one is spelled by '%'.
+    cells = format_cells(values, chunk=_FAST_MIN_CELLS + 5)
+    got = [bytes(cell).rstrip(b"\0").decode() for cell in cells.reshape(-1, 16)]
+    assert got == ["%.9g" % value for value in values.ravel().tolist()]
+
+
+def test_writing_special_values_raises_no_warning(tmp_path):
+    # Long enough for the fast path, which must keep these values quiet.
+    column = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310, 1.0] * _FAST_MIN_CELLS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _write_table(tmp_path / "special.csv", "v,w", [column, column[::-1]])
+    assert (tmp_path / "special.csv").read_text().splitlines()[1:4] == [
+        "nan,1", "inf,-1e-310", "-inf,4.94065646e-324"]
 
 
 def small_run_config(mode):
