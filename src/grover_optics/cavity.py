@@ -23,12 +23,12 @@ Conventions used throughout:
   half passes; the output mirror transmission only scales what is
   recorded and does not deplete the circulating field further.
 
-How a pulse is computed: ``half_pass_forward`` and ``grover_iterate``
-compose the checked public chain — ``ComplexField``, ``dft_centered``,
-``idft_centered``, ``parity_flip`` — which validates grids at every
-step and returns a fresh field each time.  The pulse loop repeats that
-chain for every pulse, so it instead keeps the circulating field as a
-plain array in FFT-native (``ifftshift``ed) order, with both plate
+How a pulse is computed: ``_through_fourier_plane`` and
+``grover_iterate`` compose the checked chain — ``ComplexField``,
+``dft_centered``, ``idft_centered`` — which validates grids at every
+step and returns a fresh field each time.  The pulse loop would repeat
+that chain for every pulse, so it instead keeps the circulating field as
+a plain array in FFT-native (``ifftshift``ed) order, with both plate
 phasors shifted into that order once per run.  Every step is then either
 a permutation or the same arithmetic on the same operands as the chain,
 so the recorded intensities (``fftshift``ed back) are bit-identical to
@@ -67,13 +67,12 @@ from .fields import (
     dft_centered,
     gaussian_input,
     idft_centered,
-    parity_flip,
+    parity_flip,  # noqa: F401  (unused here; perfbench/spans.py patches it)
 )
 
 __all__ = [
     "CavityConfig",
     "SearchTrace",
-    "half_pass_forward",
     "grover_iterate",
     "run_search",
     "pulse_train",
@@ -89,8 +88,9 @@ class CavityConfig:
     """Complete physical description of one search experiment.
 
     The defaults describe the reference setup: 532 nm beam with 1.33 mm
-    intensity FWHM, 400/600 mm lens pair, 25% roundtrip energy loss, 2%
-    output coupling, and a 16384-sample grid at 2 um pitch.
+    intensity FWHM, a 400 mm first lens (whose Fourier frame every
+    transform uses), 25% roundtrip energy loss, 2% output coupling, and
+    a 16384-sample grid at 2 um pitch.
     """
 
     oracle_plate: TrapezoidPhasePlate
@@ -98,7 +98,6 @@ class CavityConfig:
     wavelength: float = 532e-9
     input_fwhm: float = 1.33e-3
     focal_length_1: float = 0.400
-    focal_length_2: float = 0.600
     loss: LossModel = LossModel(0.75)
     output_mirror_transmission: float = 0.02
     slit: Slit | None = None
@@ -106,7 +105,7 @@ class CavityConfig:
     n_pulses: int = 12
 
     def __post_init__(self) -> None:
-        for name in ("wavelength", "input_fwhm", "focal_length_1", "focal_length_2"):
+        for name in ("wavelength", "input_fwhm", "focal_length_1"):
             if not (getattr(self, name) > 0):
                 raise ConfigurationError(
                     f"{name} must be positive, got {getattr(self, name)}"
@@ -226,18 +225,6 @@ def _native_half_pass(
     return np.multiply(field, scale, out=field)
 
 
-def half_pass_forward(field: ComplexField, config: CavityConfig) -> ComplexField:
-    """One forward traversal: oracle, lens, IAA, lens, half the loss.
-
-    The two lens transforms invert the image, so with both plate depths
-    at zero this returns the parity-flipped input times the half-pass
-    amplitude factor.  The returned field is the physical one at the
-    output coupler (inverted orientation), before mirror transmission.
-    """
-    marked = apply_plate(field, config.oracle_plate, 1)
-    return parity_flip(_through_fourier_plane(marked, config, _iaa_phasor(config, 1), 0.5))
-
-
 def grover_iterate(field: ComplexField, config: CavityConfig) -> ComplexField:
     """One full roundtrip in oracle-plane coordinates.
 
@@ -276,7 +263,7 @@ def _batch_key(config: CavityConfig) -> tuple:
     """The settings that cavities run together by ``_run_batch`` share.
 
     Only the oracle plate and the input FWHM may differ between rows;
-    the slit and the second focal length do not enter the pulse loop.
+    the slit does not enter the pulse loop.
     """
     return (config.grid, config.wavelength, config.focal_length_1, config.loss,
             config.output_mirror_transmission, config.n_pulses, config.iaa_plate)

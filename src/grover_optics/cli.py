@@ -132,7 +132,7 @@ def _headline(summary: dict) -> list[str]:
         )
     elif mode == "pulse-train":
         ratios = summary.get("consecutive_energy_ratios", [])
-        if ratios:
+        if ratios and ratios[0] is not None:
             lines.append(f"first consecutive energy ratio {ratios[0]:g}")
     elif "n_points" in summary:
         lines.append(f"swept {summary['n_points']} points")

@@ -2,7 +2,8 @@
 
 Every physical quantity carries its unit in the key name
 (``wavelength_nm``, ``flat_width_um``) so a config file can never be
-mis-scaled silently.  Unknown keys are rejected.  Presets are JSON
+mis-scaled silently.  Unknown keys and non-finite numbers (the NaN and
+Infinity tokens ``json.loads`` reads) are rejected.  Presets are JSON
 documents shipped as package data; user-supplied keys override preset
 values field by field.
 """
@@ -20,13 +21,13 @@ from .elements import LossModel, Slit, TrapezoidPhasePlate
 from .errors import ConfigurationError
 from .fields import Grid1D
 
-__all__ = ["ExperimentConfig", "PRESET_NAMES", "build_config", "load_config"]
+__all__ = ["ExperimentConfig", "PRESET_NAMES", "build_config"]
 
 PRESET_NAMES = ("paper-42um", "paper-84um", "paper-126um", "ideal")
 
 
 class PlateSettings(BaseModel):
-    model_config = ConfigDict(extra="forbid")
+    model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
 
     center_um: float = 0.0
     flat_width_um: float = Field(gt=0)
@@ -45,7 +46,7 @@ class PlateSettings(BaseModel):
 class ReferenceSettings(BaseModel):
     """Discrete-model run parameters (phases are per iteration)."""
 
-    model_config = ConfigDict(extra="forbid")
+    model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
 
     n_items: float = Field(default=32.0, gt=0)
     n_marked: float = Field(default=1.0, gt=0)
@@ -61,7 +62,7 @@ class ReferenceSettings(BaseModel):
 
 
 class SweepAxis(BaseModel):
-    model_config = ConfigDict(extra="forbid")
+    model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
 
     parameter: str = Field(min_length=1)
     values: list[float] = Field(min_length=1)
@@ -80,10 +81,10 @@ def _default_iaa() -> PlateSettings:
 class ExperimentConfig(BaseModel):
     """Serialized experiment: cavity physics plus run options."""
 
-    model_config = ConfigDict(extra="forbid")
+    model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
 
     mode: Literal["search", "pulse-train", "reference", "analyze"] = "search"
-    preset: Literal["paper-42um", "paper-84um", "paper-126um", "ideal"] | None = None
+    preset: Literal[PRESET_NAMES] | None = None
     wavelength_nm: float = Field(default=532.0, gt=0)
     input_fwhm_mm: float = Field(default=1.33, gt=0)
     grid_samples: int = Field(default=16384, ge=16)
@@ -124,7 +125,6 @@ class ExperimentConfig(BaseModel):
             wavelength=self.wavelength_nm * 1e-9,
             input_fwhm=self.input_fwhm_mm * 1e-3,
             focal_length_1=self.focal_length_1_mm * 1e-3,
-            focal_length_2=self.focal_length_2_mm * 1e-3,
             loss=LossModel(self.roundtrip_energy_factor),
             output_mirror_transmission=self.output_mirror_transmission,
             slit=Slit(center=slit_center_um * 1e-6, width=self.slit_width_um * 1e-6),
@@ -202,8 +202,3 @@ def read_raw_config(path: str | Path) -> dict:
             f"{path}: config root must be an object, got {type(raw).__name__}"
         )
     return raw
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Read, parse, and validate a JSON config file."""
-    return build_config(read_raw_config(path))

@@ -1,8 +1,8 @@
 """Cavity elements as pure field transformations.
 
 Phase plates multiply the field by a unit-modulus phase mask, loss is a
-uniform amplitude scalar, and the detection slit integrates intensity
-over a window with fractional edge-sample coverage.
+uniform amplitude scalar, and the detection slit weights each sample
+cell by the length of it that the slit window covers.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,6 @@ __all__ = [
     "apply_phasor",
     "apply_plate",
     "apply_roundtrip_loss",
-    "slit_energy",
 ]
 
 
@@ -170,16 +169,3 @@ def _window_overlap(grid: Grid1D, lo: float, hi: float) -> np.ndarray:
     x = grid.coordinates
     half = grid.pitch / 2.0
     return np.clip(np.minimum(x + half, hi) - np.maximum(x - half, lo), 0.0, None)
-
-
-def slit_energy(field: ComplexField, slit: Slit) -> float:
-    """Intensity integral over the slit window.
-
-    Each sample is a cell of width ``pitch`` centered on its
-    coordinate; cells partially covered by the slit contribute in
-    proportion to the covered fraction.
-    """
-    lo = slit.center - slit.width / 2.0
-    hi = slit.center + slit.width / 2.0
-    overlap = _window_overlap(field.grid, lo, hi)
-    return float(np.sum(field.intensity * overlap))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, GridMismatchError, MeasurementError
+from .errors import ConfigurationError, GridMismatchError
 
 __all__ = [
     "Grid1D",
@@ -22,8 +22,6 @@ __all__ = [
     "idft_centered",
     "parity_flip",
     "total_energy",
-    "intensity_fwhm",
-    "peak",
 ]
 
 
@@ -222,66 +220,3 @@ def _reverse_about_zero(a: np.ndarray, out: np.ndarray | None = None) -> np.ndar
 def total_energy(field: ComplexField) -> float:
     """Discrete energy integral: sum of |E|^2 times the grid pitch."""
     return float(np.sum(field.intensity) * field.grid.pitch)
-
-
-def _max_plateau(intensity: np.ndarray) -> tuple[int, int]:
-    """Indices [lo, hi] of the contiguous run of global-maximum samples.
-
-    Raises MeasurementError when the maximum is attained on two or more
-    disjoint plateaus (no unique maximum) or touches the grid edge.
-    """
-    peak_val = float(np.max(intensity))
-    at_max = np.flatnonzero(intensity >= peak_val * (1.0 - 1e-12))
-    lo, hi = int(at_max[0]), int(at_max[-1])
-    if hi - lo + 1 != at_max.size:
-        raise MeasurementError(
-            "intensity profile has multiple disjoint maxima; "
-            "no unique peak to measure"
-        )
-    if lo == 0 or hi == intensity.size - 1:
-        raise MeasurementError(
-            "intensity maximum touches the grid boundary (profile clipped)"
-        )
-    return lo, hi
-
-
-def intensity_fwhm(field: ComplexField) -> float:
-    """Full width at half maximum of |E|^2, in meters.
-
-    Half-maximum crossings are located by linear interpolation between
-    the bracketing samples; no model fitting.  A flat-topped profile is
-    treated as a single plateau maximum.
-    """
-    intensity = field.intensity
-    lo, hi = _max_plateau(intensity)
-    half = float(np.max(intensity)) / 2.0
-    x = field.grid.coordinates
-
-    i = lo
-    while i > 0 and intensity[i] > half:
-        i -= 1
-    if intensity[i] > half:
-        raise MeasurementError("left half-maximum crossing clipped by grid edge")
-    frac = (half - intensity[i]) / (intensity[i + 1] - intensity[i])
-    x_left = x[i] + frac * field.grid.pitch
-
-    j = hi
-    while j < intensity.size - 1 and intensity[j] > half:
-        j += 1
-    if intensity[j] > half:
-        raise MeasurementError("right half-maximum crossing clipped by grid edge")
-    frac = (half - intensity[j]) / (intensity[j - 1] - intensity[j])
-    x_right = x[j] - frac * field.grid.pitch
-
-    return float(x_right - x_left)
-
-
-def peak(field: ComplexField) -> tuple[float, float]:
-    """Position and intensity of the global intensity maximum.
-
-    Ties are broken toward the smaller coordinate (first sample in
-    argmax order).  Returns ``(position_m, intensity_value)``.
-    """
-    intensity = field.intensity
-    idx = int(np.argmax(intensity))
-    return float(field.grid.coordinates[idx]), float(intensity[idx])

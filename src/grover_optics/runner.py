@@ -281,8 +281,10 @@ def _write_table(path: Path, header: str, columns) -> None:
 
 
 def _write_summary(path: Path, summary: dict) -> None:
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    """Write ``summary`` as strict JSON: a nan or inf raises ValueError
+    rather than becoming a bare ``NaN`` or ``Infinity`` token."""
+    path.write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+                    + "\n", encoding="utf-8")
 
 
 def _search_summary(cfg: ExperimentConfig, trace) -> dict:
@@ -376,15 +378,16 @@ def _run_pulse_train_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "iteration_count,slit_energy",
         [counts, energies],
     )
+    # A ratio after a zero slit energy is undefined: null in the summary.
     ratios = [
-        energies[i + 1] / energies[i] if energies[i] > 0 else float("nan")
+        _round9(energies[i + 1] / energies[i]) if energies[i] > 0 else None
         for i in range(len(energies) - 1)
     ]
     summary = {
         "artifact_version": __version__,
         "mode": cfg.mode,
         "slit_energies": [_round9(e) for e in energies],
-        "consecutive_energy_ratios": [_round9(r) for r in ratios],
+        "consecutive_energy_ratios": ratios,
         "config": cfg.model_dump(mode="json"),
     }
     _write_summary(out_dir / "summary.json", summary)
@@ -486,7 +489,7 @@ _SWEEP_COLUMNS = {
 def _sweep_scalars(cfg_mode: str, summary: dict) -> list:
     if cfg_mode == "pulse-train":
         ratios = summary["consecutive_energy_ratios"]
-        valid = [r for r in ratios if not np.isnan(r)]
+        valid = [r for r in ratios if r is not None]
         return [float(np.mean(valid)) if valid else float("nan")]
     return [summary.get(col) for col in _SWEEP_COLUMNS[cfg_mode]]
 

@@ -186,6 +186,14 @@ def test_criterion_8_conservation_suite():
         field = grover_iterate(field, cavity)
     assert total_energy(field) == pytest.approx(initial, rel=1e-9)
 
+    # ... and so does the shipped pulse loop: every recorded pulse of the
+    # unit-energy input carries the output coupling's share of it
+    trace = run_search(cavity, record_profiles=False)
+    assert trace.n_pulses == 30
+    np.testing.assert_allclose(
+        trace.total_energies, cavity.output_mirror_transmission, rtol=1e-9
+    )
+
     # ... and two transforms amount to a parity flip
     second_lens = FourierGrid(fgrid.as_grid(), cavity.wavelength, cavity.focal_length_1)
     twice = dft_centered(transformed, second_lens)

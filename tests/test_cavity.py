@@ -13,7 +13,6 @@ from grover_optics import (
     apply_plate,
     dft_centered,
     grover_iterate,
-    half_pass_forward,
     idft_centered,
     parity_flip,
     pulse_train,
@@ -37,17 +36,25 @@ def disabled_cavity(**overrides) -> CavityConfig:
 
 
 class TestHalfPassForward:
-    def test_flat_plates_reduce_to_parity_and_loss(self):
+    # The upright forward half pass: oracle once, then the Fourier-plane
+    # chain with the single-pass IAA phasor and half the roundtrip loss.
+    def test_flat_plates_reduce_to_the_loss(self):
         config = disabled_cavity()
         field = config.input_field()
-        out = half_pass_forward(field, config)
-        expected = 0.75**0.25 * parity_flip(field).amplitudes
+        out = cavity._through_fourier_plane(
+            apply_plate(field, config.oracle_plate, 1), config,
+            cavity._iaa_phasor(config, 1), 0.5,
+        )
+        expected = 0.75**0.25 * field.amplitudes
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
 
     def test_energy_drops_by_half_roundtrip(self):
         config = paper_cavity(42.0)
         field = config.input_field()
-        out = half_pass_forward(field, config)
+        out = cavity._through_fourier_plane(
+            apply_plate(field, config.oracle_plate, 1), config,
+            cavity._iaa_phasor(config, 1), 0.5,
+        )
         assert total_energy(out) / total_energy(field) == pytest.approx(
             0.75**0.5, rel=1e-9
         )
@@ -139,7 +146,10 @@ class TestRunSearch:
                 apply_plate(dft_centered(field, fgrid), config.iaa_plate, 1), fgrid
             )
 
-        upright_1 = parity_flip(half_pass_forward(config.input_field(), config))
+        upright_1 = cavity._through_fourier_plane(
+            apply_plate(config.input_field(), config.oracle_plate, 1), config,
+            cavity._iaa_phasor(config, 1), 0.5,
+        )
         step = iaa_conjugated(
             apply_plate(iaa_conjugated(upright_1), config.oracle_plate, 2)
         )
@@ -149,11 +159,15 @@ class TestRunSearch:
 
     @pytest.mark.parametrize("preset", ["paper-42um", "ideal"])
     def test_first_pulse_is_the_recorded_half_pass_bit_for_bit(self, preset):
-        # run_search and half_pass_forward share one propagation chain,
-        # so the first recorded pulse is exactly the upright half pass.
+        # The pulse loop's forward half pass is the Fourier-plane chain
+        # in FFT-native order, so the first recorded pulse is exactly the
+        # upright half pass of the chain.
         config = build_config({"preset": preset, "grid_samples": 4096}).to_cavity_config()
         trace = run_search(config)
-        out = parity_flip(half_pass_forward(config.input_field(), config))
+        out = cavity._through_fourier_plane(
+            apply_plate(config.input_field(), config.oracle_plate, 1), config,
+            cavity._iaa_phasor(config, 1), 0.5,
+        )
         expected = config.output_mirror_transmission * out.intensity
         assert np.array_equal(trace.profiles[0], expected)
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from grover_optics import runner
 from grover_optics.cli import main
 
 SMALL_GRID = {"grid_samples": 4096, "grid_pitch_um": 2.0}
@@ -151,6 +152,18 @@ class TestPulseTrainCommand:
         lines = (out / "train.csv").read_text().splitlines()
         assert lines[0] == "iteration_count,slit_energy"
         assert len(lines) == 1 + 6
+
+    def test_ratio_after_a_zero_slit_energy_is_null(self, tmp_path, monkeypatch):
+        def reject(token):
+            raise ValueError(f"summary.json holds the non-JSON token {token}")
+
+        monkeypatch.setattr(runner, "pulse_train",
+                            lambda cavity: [(0.5, 0.0), (1.5, 2e-4), (2.5, 1e-4)])
+        cfg = write_config(tmp_path, preset="paper-42um", **SMALL_GRID)
+        out = tmp_path / "out"
+        assert main(["pulse-train", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["consecutive_energy_ratios"] == [None, 0.5]
 
 
 class TestReferenceCommand:

@@ -8,9 +8,8 @@ from grover_optics import (
     ExperimentConfig,
     PRESET_NAMES,
     build_config,
-    load_config,
 )
-from grover_optics.config import preset_values
+from grover_optics.config import preset_values, read_raw_config
 
 
 class TestPresets:
@@ -71,6 +70,23 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="wavelength_nm"):
             build_config({"wavelength_nm": -1.0})
 
+    def test_second_focal_length_must_be_positive(self):
+        # Read by no computation, but still validated and echoed.
+        with pytest.raises(ConfigurationError, match="focal_length_2_mm"):
+            build_config({"focal_length_2_mm": 0.0})
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"slit_center_um": math.nan}, "slit_center_um"),
+        ({"oracle": {"flat_width_um": 42.0, "ramp_width_um": 4.0,
+                     "center_um": math.inf}}, "oracle.center_um"),
+        ({"sweep": [{"parameter": "n_pulses", "values": [math.nan]}]}, "sweep"),
+    ])
+    def test_non_finite_number_rejected(self, raw, key):
+        # json.loads reads the NaN and Infinity tokens; the run would
+        # echo them into a summary.json that strict JSON cannot hold.
+        with pytest.raises(ConfigurationError, match=f"{key}.*finite"):
+            build_config(raw)
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigurationError, match="wavelength_um"):
             build_config({"wavelength_um": 0.532})
@@ -123,7 +139,6 @@ class TestUnitConversion:
         assert cavity.wavelength == pytest.approx(532e-9)
         assert cavity.input_fwhm == pytest.approx(1.33e-3)
         assert cavity.focal_length_1 == pytest.approx(0.400)
-        assert cavity.focal_length_2 == pytest.approx(0.600)
         assert cavity.oracle_plate.center == pytest.approx(150e-6)
         assert cavity.oracle_plate.flat_width == pytest.approx(42e-6)
         assert cavity.iaa_plate.flat_width == pytest.approx(136e-6)
@@ -162,10 +177,11 @@ class TestUnitConversion:
 
 
 class TestFileLoading:
+    # The CLI loads a config file as build_config(read_raw_config(path)).
     def test_load_valid_file(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"preset": "paper-84um", "n_pulses": 5}))
-        cfg = load_config(path)
+        cfg = build_config(read_raw_config(path))
         assert cfg.oracle.flat_width_um == 84.0
         assert cfg.n_pulses == 5
 
@@ -173,14 +189,14 @@ class TestFileLoading:
         path = tmp_path / "broken.json"
         path.write_text('{"n_pulses": 5,}')
         with pytest.raises(ConfigurationError, match="line 1"):
-            load_config(path)
+            build_config(read_raw_config(path))
 
     def test_non_object_root_rejected(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
         with pytest.raises(ConfigurationError, match="object"):
-            load_config(path)
+            build_config(read_raw_config(path))
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            load_config(tmp_path / "absent.json")
+            build_config(read_raw_config(tmp_path / "absent.json"))

@@ -14,9 +14,9 @@ from grover_optics import (
     gaussian_input,
     phase_profile,
     plate_phasor,
-    slit_energy,
     total_energy,
 )
+from grover_optics.elements import _window_overlap
 
 
 def sample_at(values: np.ndarray, grid: Grid1D, x: float) -> float:
@@ -160,39 +160,41 @@ class TestRoundtripLoss:
 
 
 class TestSlitEnergy:
+    # pulse_train integrates intensity times these per-cell window lengths.
     def setup_method(self):
         self.grid = Grid1D(1024, 2e-6)
         self.field = gaussian_input(self.grid, 0.4e-3)
 
     def test_full_aperture_recovers_total_energy(self):
-        wide = Slit(center=0.0, width=2 * self.grid.extent)
-        assert slit_energy(self.field, wide) == pytest.approx(
+        weights = _window_overlap(self.grid, -self.grid.extent, self.grid.extent)
+        assert np.sum(self.field.intensity * weights) == pytest.approx(
             total_energy(self.field), abs=1e-12
         )
 
     def test_uniform_intensity_scales_with_width(self):
-        flat = ComplexField(self.grid, np.ones(self.grid.n_samples, dtype=complex))
-        fraction = slit_energy(flat, Slit(center=0.0, width=0.1 * self.grid.extent))
-        assert fraction == pytest.approx(0.1 * total_energy(flat), rel=1e-6)
+        extent = self.grid.extent
+        weights = _window_overlap(self.grid, -0.05 * extent, 0.05 * extent)
+        assert np.sum(weights) == pytest.approx(0.1 * extent, rel=1e-6)
 
     def test_slit_outside_grid_collects_nothing(self):
-        far = Slit(center=10.0, width=55e-6)
-        assert slit_energy(self.field, far) == 0.0
+        weights = _window_overlap(self.grid, 10.0 - 27.5e-6, 10.0 + 27.5e-6)
+        assert np.sum(self.field.intensity * weights) == 0.0
 
     def test_monotone_in_width(self):
         widths = [10e-6, 55e-6, 200e-6, 1e-3]
-        energies = [slit_energy(self.field, Slit(0.0, w)) for w in widths]
+        energies = [
+            np.sum(self.field.intensity * _window_overlap(self.grid, -w / 2, w / 2))
+            for w in widths
+        ]
         assert all(a < b for a, b in zip(energies, energies[1:]))
 
     def test_half_covered_cell(self):
         # slit edge through the middle of a sample cell collects half of it
-        flat = ComplexField(self.grid, np.ones(self.grid.n_samples, dtype=complex))
-        one_cell = slit_energy(flat, Slit(center=0.0, width=self.grid.pitch))
-        edge_cell = slit_energy(
-            flat, Slit(center=self.grid.pitch / 2.0, width=self.grid.pitch)
-        )
+        pitch = self.grid.pitch
+        one_cell = np.sum(_window_overlap(self.grid, -pitch / 2.0, pitch / 2.0))
+        edge_cell = np.sum(_window_overlap(self.grid, 0.0, pitch))
         assert edge_cell == pytest.approx(one_cell, rel=1e-12)
-        assert one_cell == pytest.approx(self.grid.pitch, rel=1e-12)
+        assert one_cell == pytest.approx(pitch, rel=1e-12)
 
     def test_zero_width_rejected(self):
         with pytest.raises(ConfigurationError):

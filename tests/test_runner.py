@@ -196,3 +196,16 @@ def test_batch_chunks_split_incompatible_points():
         for n_pulses in (6, 8):
             cavities += sweep_cavities(4096, [flat_um], n_pulses=n_pulses)
     assert _batch_chunks(cavities) == [[0, 2, 4], [1, 3, 5]]
+
+
+def test_pulse_train_sweep_averages_the_defined_ratios():
+    assert runner._sweep_scalars(
+        "pulse-train", {"consecutive_energy_ratios": [None, 0.5, 0.7]}
+    ) == [pytest.approx(0.6)]
+    nan, = runner._sweep_scalars("pulse-train", {"consecutive_energy_ratios": [None]})
+    assert np.isnan(nan)
+
+
+def test_summary_refuses_nan(tmp_path):
+    with pytest.raises(ValueError):
+        runner._write_summary(tmp_path / "summary.json", {"ratio": float("nan")})
