@@ -49,7 +49,6 @@ import numpy as np
 
 from .elements import (
     LossModel,
-    Slit,
     TrapezoidPhasePlate,
     _window_overlap,
     apply_phasor,
@@ -89,8 +88,11 @@ class CavityConfig:
 
     The defaults describe the reference setup: 532 nm beam with 1.33 mm
     intensity FWHM, a 400 mm first lens (whose Fourier frame every
-    transform uses), 25% roundtrip energy loss, 2% output coupling, and
-    a 16384-sample grid at 2 um pitch.
+    transform uses), 25% roundtrip energy loss, 2% output coupling, a
+    55 um detection slit on the image of the oracle line, and a
+    16384-sample grid at 2 um pitch.  ``slit_center`` None means the
+    oracle plate's center; ``slit_window`` is the window it gives, and
+    the one ``pulse_train`` integrates over.
     """
 
     oracle_plate: TrapezoidPhasePlate
@@ -100,12 +102,13 @@ class CavityConfig:
     focal_length_1: float = 0.400
     loss: LossModel = LossModel(0.75)
     output_mirror_transmission: float = 0.02
-    slit: Slit | None = None
+    slit_center: float | None = None
+    slit_width: float = 55e-6
     grid: Grid1D = dataclass_field(default_factory=_default_grid)
     n_pulses: int = 12
 
     def __post_init__(self) -> None:
-        for name in ("wavelength", "input_fwhm", "focal_length_1"):
+        for name in ("wavelength", "input_fwhm", "focal_length_1", "slit_width"):
             if not (getattr(self, name) > 0):
                 raise ConfigurationError(
                     f"{name} must be positive, got {getattr(self, name)}"
@@ -124,22 +127,23 @@ class CavityConfig:
             )
         check_plate_fits(self.oracle_plate, self.grid, "oracle")
         check_plate_fits(self.iaa_plate, self.fourier_grid.as_grid(), "IAA")
-        if self.slit is not None:
-            self._check_slit_overlaps_grid()
-
-    def _check_slit_overlaps_grid(self) -> None:
-        """A slit that misses every sample cell would record 0 energy for
-        every pulse and nan for every ratio."""
-        # Outer edges of the first and last sample cells.
+        # A slit that misses every sample cell would record 0 energy for
+        # every pulse and nan for every ratio.  Outer edges of the first
+        # and last sample cells:
         half, pitch = self.grid.n_samples // 2, self.grid.pitch
         first, last = -(half + 0.5) * pitch, (half - 0.5) * pitch
-        lo = self.slit.center - self.slit.width / 2
-        hi = self.slit.center + self.slit.width / 2
+        lo, hi = self.slit_window
         if hi <= first or lo >= last:
             raise ConfigurationError(
                 f"slit window [{lo:.6g}, {hi:.6g}] m does not overlap the "
                 f"grid's extent [{first:.6g}, {last:.6g}] m"
             )
+
+    @property
+    def slit_window(self) -> tuple[float, float]:
+        """The detection slit's ``(lo, hi)`` in meters, oracle plane."""
+        center = self.oracle_plate.center if self.slit_center is None else self.slit_center
+        return center - self.slit_width / 2, center + self.slit_width / 2
 
     @property
     def fourier_grid(self) -> FourierGrid:
@@ -158,10 +162,12 @@ class SearchTrace:
     Pulse j (1-based) appears at row j - 1 with iteration_count j - 0.5.
     ``profiles`` holds the recorded output intensities (scaled by the
     output mirror transmission), or is ``None`` for a run that kept only
-    the measurements below; ``compensated_peak_values`` additionally
-    multiply pulse j's peak by loss^-(j - 0.5), undoing the uniform decay
-    the way the raw measurement data is rescaled for display.  Peaks that
-    fall on the first or last grid sample are flagged, not fatal.
+    the measurements below.  ``compensation`` holds pulse j's factor
+    loss^-(j - 0.5), which undoes the uniform decay the way the raw
+    measurement data is rescaled for display; ``compensated_peak_values``
+    and the compensated profiles of ``profiles.csv`` are scaled by it.
+    Peaks that fall on the first or last grid sample are flagged, not
+    fatal.
 
     ``peak_values`` are the brightest-sample intensities while
     ``peak_positions`` locate the dominant lobe by the centroid of its
@@ -175,13 +181,17 @@ class SearchTrace:
     profiles: np.ndarray | None
     peak_positions: np.ndarray
     peak_values: np.ndarray
-    compensated_peak_values: np.ndarray
+    compensation: np.ndarray
     total_energies: np.ndarray
     peak_at_edge: np.ndarray
 
     @property
     def n_pulses(self) -> int:
         return int(self.iteration_counts.size)
+
+    @property
+    def compensated_peak_values(self) -> np.ndarray:
+        return self.peak_values * self.compensation
 
 
 def _iaa_phasor(config: CavityConfig, passes: int) -> np.ndarray:
@@ -294,10 +304,10 @@ def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[Searc
     half = (n + 1) // 2  # fftshift moves samples [half, n) to the front
 
     iteration_counts = np.arange(1, n_pulses + 1) - 0.5
+    compensation = np.array([loss_factor ** (-count) for count in iteration_counts])
     profiles = np.empty((rows, n_pulses, n)) if record_profiles else None
     peak_positions = np.empty((rows, n_pulses))
     peak_values = np.empty((rows, n_pulses))
-    compensated_peaks = np.empty((rows, n_pulses))
     energies = np.empty((rows, n_pulses))
     at_edge = np.zeros((rows, n_pulses), dtype=bool)
 
@@ -312,7 +322,7 @@ def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[Searc
     spectrum = np.empty_like(circulating)
     power = np.empty((rows, n))
     shifted = None if record_profiles else np.empty((rows, n))
-    for row, count in enumerate(iteration_counts):
+    for row in range(n_pulses):
         # Forward half pass, recorded in upright (oracle) orientation.
         np.multiply(oracle, circulating, out=field)
         _native_half_pass(field, iaa, scale, spectrum)
@@ -327,7 +337,6 @@ def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[Searc
             idx = int(np.argmax(line))
             peak_positions[b, row] = _lobe_center(line, coords)
             peak_values[b, row] = line[idx]
-            compensated_peaks[b, row] = line[idx] * loss_factor ** (-count)
             energies[b, row] = float(np.sum(line) * pitch)
             at_edge[b, row] = idx in (0, n - 1)
 
@@ -345,7 +354,7 @@ def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[Searc
             profiles=None if profiles is None else profiles[b],
             peak_positions=peak_positions[b],
             peak_values=peak_values[b],
-            compensated_peak_values=compensated_peaks[b],
+            compensation=compensation.copy(),
             total_energies=energies[b],
             peak_at_edge=at_edge[b],
         )
@@ -369,24 +378,13 @@ def run_search(config: CavityConfig, record_profiles: bool = True) -> SearchTrac
     return _run_batch([config], record_profiles)[0]
 
 
-def pulse_train(
-    config: CavityConfig, slit: Slit | None = None
-) -> list[tuple[float, float]]:
-    """Slit-integrated energy of every recorded (uncompensated) pulse.
-
-    The slit defaults to ``config.slit``, or, if that is unset, to a
-    55 um slit centered on the image of the oracle line.
-    """
-    if slit is None:
-        slit = config.slit
-    if slit is None:
-        slit = Slit(center=config.oracle_plate.center)
+def pulse_train(config: CavityConfig) -> list[tuple[float, float]]:
+    """Slit-integrated energy of every recorded (uncompensated) pulse,
+    over ``config.slit_window``: each sample cell weighted by the length
+    of it the window covers."""
     trace = run_search(config)
-    overlap = _window_overlap(
-        config.grid, slit.center - slit.width / 2, slit.center + slit.width / 2
-    )
+    overlap = _window_overlap(config.grid, *config.slit_window)
     return [
         (float(count), float(np.sum(trace.profiles[row] * overlap)))
         for row, count in enumerate(trace.iteration_counts)
     ]
-

@@ -115,20 +115,25 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def _g(value: float | None) -> str:
+    """A summary number for the headline; a null one reads 'unavailable'."""
+    return "unavailable" if value is None else f"{value:g}"
+
+
 def _headline(summary: dict) -> list[str]:
     lines = []
     mode = summary.get("mode")
     if mode in ("search", "analyze") and summary.get("first_maximum") is not None:
         lines.append(
             f"first maximum at iteration {summary['first_maximum']:g} "
-            f"-> N/m estimate {summary['estimate_nm']:g} "
+            f"-> N/m estimate {_g(summary['estimate_nm'])} "
             f"(geometric {summary['expected_nm']:g})"
         )
     elif mode == "reference":
         lines.append(
             f"max success probability {summary['max_success_probability']:g} "
             f"at iteration {summary['argmax_iteration']} "
-            f"(optimum {summary['optimal_iterations']:g})"
+            f"(optimum {_g(summary['optimal_iterations'])})"
         )
     elif mode == "pulse-train":
         ratios = summary.get("consecutive_energy_ratios", [])

@@ -17,7 +17,7 @@ from typing import Literal
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, field_validator, model_validator
 
 from .cavity import CavityConfig
-from .elements import LossModel, Slit, TrapezoidPhasePlate
+from .elements import LossModel, TrapezoidPhasePlate
 from .errors import ConfigurationError
 from .fields import Grid1D
 
@@ -114,11 +114,6 @@ class ExperimentConfig(BaseModel):
 
     def to_cavity_config(self) -> CavityConfig:
         """Convert to physical units and validate the geometry."""
-        slit_center_um = (
-            self.slit_center_um
-            if self.slit_center_um is not None
-            else self.oracle.center_um
-        )
         return CavityConfig(
             oracle_plate=self.oracle.to_plate(),
             iaa_plate=self.iaa.to_plate(),
@@ -127,7 +122,8 @@ class ExperimentConfig(BaseModel):
             focal_length_1=self.focal_length_1_mm * 1e-3,
             loss=LossModel(self.roundtrip_energy_factor),
             output_mirror_transmission=self.output_mirror_transmission,
-            slit=Slit(center=slit_center_um * 1e-6, width=self.slit_width_um * 1e-6),
+            slit_center=None if self.slit_center_um is None else self.slit_center_um * 1e-6,
+            slit_width=self.slit_width_um * 1e-6,
             grid=Grid1D(self.grid_samples, self.grid_pitch_um * 1e-6),
             n_pulses=self.n_pulses,
         )

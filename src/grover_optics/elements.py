@@ -1,8 +1,9 @@
 """Cavity elements as pure field transformations.
 
 Phase plates multiply the field by a unit-modulus phase mask, loss is a
-uniform amplitude scalar, and the detection slit weights each sample
-cell by the length of it that the slit window covers.
+uniform amplitude scalar, and a detection window weights each sample
+cell by the length of it that the window covers.  Where the slit sits
+and how wide it is are ``CavityConfig`` settings (``slit_window``).
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,6 @@ from .fields import ComplexField, Grid1D
 __all__ = [
     "TrapezoidPhasePlate",
     "LossModel",
-    "Slit",
     "phase_profile",
     "plate_phasor",
     "apply_phasor",
@@ -71,18 +71,6 @@ class LossModel:
                 "roundtrip_energy_factor must lie in (0, 1], got "
                 f"{self.roundtrip_energy_factor}"
             )
-
-
-@dataclass(frozen=True)
-class Slit:
-    """Movable detection slit (width defaults to 55 um)."""
-
-    center: float
-    width: float = 55e-6
-
-    def __post_init__(self) -> None:
-        if not (self.width > 0):
-            raise ConfigurationError(f"slit width must be positive, got {self.width}")
 
 
 def check_plate_fits(plate: TrapezoidPhasePlate, grid: Grid1D, label: str) -> None:

@@ -123,19 +123,10 @@ class FourierGrid:
         """Fourier-plane sample spacing lambda * f / extent, in meters."""
         return self.wavelength * self.focal_length / self.source.extent
 
-    @property
-    def extent(self) -> float:
-        """Fourier-plane width lambda * f / source pitch, in meters."""
-        return self.wavelength * self.focal_length / self.source.pitch
-
-    @property
-    def coordinates(self) -> np.ndarray:
-        """Fourier-plane coordinates x'_k = (k - n/2) * pitch."""
-        n = self.source.n_samples
-        return (np.arange(n) - n // 2) * self.pitch
-
     def as_grid(self) -> Grid1D:
-        """The Fourier plane viewed as a plain Grid1D."""
+        """The Fourier plane viewed as a plain Grid1D, whose extent is
+        lambda * f / source pitch and whose coordinates are the
+        Fourier-plane positions."""
         return Grid1D(self.source.n_samples, self.pitch)
 
 

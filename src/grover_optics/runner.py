@@ -287,6 +287,16 @@ def _write_summary(path: Path, summary: dict) -> None:
                     + "\n", encoding="utf-8")
 
 
+def _formula_or_null(name: str, warnings: list[str], formula, *args) -> float | None:
+    """``formula(*args)`` at 9 digits, or None with an entry in
+    ``warnings`` when the arguments lie outside the formula's domain."""
+    try:
+        return _round9(formula(*args))
+    except ConfigurationError as err:
+        warnings.append(f"{name} unavailable: {err}")
+        return None
+
+
 def _search_summary(cfg: ExperimentConfig, trace) -> dict:
     peaks = analysis.PeakTrace.from_search_trace(
         trace, compensated=cfg.compensate_loss
@@ -316,7 +326,8 @@ def _search_summary(cfg: ExperimentConfig, trace) -> dict:
         "estimate_nm": (
             None
             if k_star is None
-            else _round9(analysis.estimate_nm(k_star, abs(cfg.oracle.phase_rad)))
+            else _formula_or_null("estimate_nm", warnings, analysis.estimate_nm,
+                                  k_star, abs(cfg.oracle.phase_rad))
         ),
         "expected_nm": _round9(analysis.expected_nm(fwhm_m, flat_m)),
         "rayleigh_resolution_m": _round9(resolution_m),
@@ -333,17 +344,15 @@ def _search_summary(cfg: ExperimentConfig, trace) -> dict:
     return summary
 
 
-def _profile_columns(trace, loss_factor: float) -> list:
+def _profile_columns(trace) -> list:
     """``profiles.csv``'s columns over (pulse, sample), for ``_write_table``.
 
-    The compensated row of each pulse is ``profile * loss_factor **
-    (-count)``, with ``count`` the trace's own float64 iteration count;
-    the writer multiplies it out a block at a time.
+    The compensated row of each pulse is its profile times the trace's
+    ``compensation`` factor; the writer multiplies it out a block at a
+    time.
     """
-    counts = trace.iteration_counts
-    scales = np.array([loss_factor ** (-count) for count in counts])
-    return [counts[:, None], trace.grid.coordinates, trace.profiles,
-            (trace.profiles, scales[:, None])]
+    return [trace.iteration_counts[:, None], trace.grid.coordinates, trace.profiles,
+            (trace.profiles, trace.compensation[:, None])]
 
 
 def _write_search_outputs(cfg: ExperimentConfig, trace, out_dir: Path) -> dict:
@@ -352,7 +361,7 @@ def _write_search_outputs(cfg: ExperimentConfig, trace, out_dir: Path) -> dict:
         _write_table(
             out_dir / "profiles.csv",
             "iteration_count,x_m,intensity,compensated_intensity",
-            _profile_columns(trace, cfg.roundtrip_energy_factor),
+            _profile_columns(trace),
         )
 
     peak_values = (
@@ -411,21 +420,23 @@ def _run_reference_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
         [iterations, probabilities, ideal],
     )
     best = int(np.argmax(probabilities))
+    warnings: list[str] = []
     summary = {
         "artifact_version": __version__,
         "mode": cfg.mode,
         "max_success_probability": _round9(probabilities[best]),
         "argmax_iteration": best,
-        "optimal_iterations": _round9(
-            reference.optimal_iterations(
-                ref.n_items, ref.n_marked, abs(ref.oracle_phase_rad) / 2.0
-            )
+        "optimal_iterations": _formula_or_null(
+            "optimal_iterations", warnings, reference.optimal_iterations,
+            ref.n_items, ref.n_marked, abs(ref.oracle_phase_rad) / 2.0,
         ),
         "oscillation_period": _round9(
             reference.oscillation_period(ref.n_items, ref.n_marked)
         ),
         "config": cfg.model_dump(mode="json"),
     }
+    if warnings:
+        summary["warnings"] = warnings
     _write_summary(out_dir / "summary.json", summary)
     return summary
 

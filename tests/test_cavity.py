@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from grover_optics import (
     Grid1D,
     LossModel,
     PeakTrace,
-    Slit,
     TrapezoidPhasePlate,
     apply_plate,
     dft_centered,
@@ -94,6 +95,7 @@ class TestRunSearch:
         assert trace.n_pulses == 12
         assert trace.profiles.shape == (12, config.grid.n_samples)
         assert compensated_rows(trace, 0.75).shape == trace.profiles.shape
+        assert trace.compensation.tolist() == [0.75 ** -c for c in trace.iteration_counts]
         assert np.allclose(trace.iteration_counts, np.arange(12) + 0.5)
         assert np.all(np.diff(trace.iteration_counts) == 1.0)
         assert not trace.peak_at_edge.any()
@@ -343,9 +345,8 @@ class TestGridConvergence:
 
 class TestPulseTrain:
     def test_disabled_plates_decay_at_loss_rate(self):
-        config = disabled_cavity(n_pulses=6)
-        wide_open = Slit(center=0.0, width=2 * config.grid.extent)
-        train = pulse_train(config, slit=wide_open)
+        extent = disabled_cavity().grid.extent
+        train = pulse_train(disabled_cavity(n_pulses=6, slit_center=0.0, slit_width=2 * extent))
         energies = [e for _, e in train]
         counts = [c for c, _ in train]
         assert counts == [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
@@ -360,15 +361,11 @@ class TestPulseTrain:
         assert energies[3] > energies[2]
         assert energies[4] < energies[3]
 
-    def test_slit_far_outside_beam_collects_nothing(self):
-        train = pulse_train(paper_cavity(42.0, n_pulses=3), slit=Slit(center=10.0))
-        assert [e for _, e in train] == [0.0, 0.0, 0.0]
-
     def test_default_slit_sits_on_the_marked_image(self):
         config = paper_cavity(42.0, n_pulses=4)
-        implicit = pulse_train(config)
-        explicit = pulse_train(config, slit=Slit(center=150e-6, width=55e-6))
-        assert implicit == explicit
+        assert config.slit_window == (150e-6 - 27.5e-6, 150e-6 + 27.5e-6)
+        explicit = replace(config, slit_center=150e-6, slit_width=55e-6)
+        assert pulse_train(config) == pulse_train(explicit)
 
 
 class TestCavityConfigValidation:
@@ -377,6 +374,10 @@ class TestCavityConfigValidation:
             oracle_plate=TrapezoidPhasePlate(150e-6, 42e-6, 4e-6, -1.1),
             iaa_plate=TrapezoidPhasePlate(0.0, 136e-6, 8e-6, -1.1),
         )
+
+    def test_slit_far_outside_grid_rejected(self):
+        with pytest.raises(ConfigurationError, match="slit window"):
+            CavityConfig(**self.base_plates(), slit_center=10.0)
 
     def test_zero_pulses_rejected(self):
         with pytest.raises(ConfigurationError, match="n_pulses"):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from grover_optics import runner
+from grover_optics import build_config, pulse_train, runner
 from grover_optics.cli import main
 
 SMALL_GRID = {"grid_samples": 4096, "grid_pitch_um": 2.0}
@@ -90,6 +90,19 @@ class TestRunCommand:
         assert summary["config"]["oracle"]["flat_width_um"] == 126.0
         assert not (out / "profiles.csv").exists()
 
+    @pytest.mark.parametrize("phase", [-2.0, 0.0])
+    def test_phase_outside_the_estimate_domain_writes_null(self, tmp_path, capsys, phase):
+        # |phase| outside (0, pi/2] has no N/m estimate; the run still
+        # completes, as it does when no first maximum is found.
+        cfg = small_search_config(tmp_path, oracle={"phase_rad": phase})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["first_maximum"] is not None
+        assert summary["estimate_nm"] is None
+        assert summary["warnings"][-1].startswith("estimate_nm unavailable: phase_per_pass")
+        assert "N/m estimate unavailable" in capsys.readouterr().out
+
 
 class TestErrorPaths:
     def test_malformed_json_exits_2(self, tmp_path):
@@ -153,6 +166,21 @@ class TestPulseTrainCommand:
         assert lines[0] == "iteration_count,slit_energy"
         assert len(lines) == 1 + 6
 
+    def test_slit_width_reaches_the_pulse_train(self, tmp_path):
+        energies = {}
+        for width_um in (55.0, 20.0):
+            raw = {"preset": "paper-42um", "n_pulses": 4, "slit_width_um": width_um,
+                   **SMALL_GRID}
+            out = tmp_path / f"out{width_um:g}"
+            cfg = write_config(tmp_path, f"w{width_um:g}.json", **raw)
+            assert main(["pulse-train", "--config", str(cfg), "--out", str(out)]) == 0
+            rows = (out / "train.csv").read_text().splitlines()[1:]
+            energies[width_um] = [float(row.split(",")[1]) for row in rows]
+        cavity = build_config(raw).to_cavity_config()
+        assert cavity.slit_window == pytest.approx((140e-6, 160e-6))
+        assert energies[20.0] == [float(f"{e:.9g}") for _, e in pulse_train(cavity)]
+        assert all(a < b for a, b in zip(energies[20.0], energies[55.0]))
+
     def test_ratio_after_a_zero_slit_energy_is_null(self, tmp_path, monkeypatch):
         def reject(token):
             raise ValueError(f"summary.json holds the non-JSON token {token}")
@@ -181,6 +209,15 @@ class TestReferenceCommand:
         lines = (out / "reference.csv").read_text().splitlines()
         assert lines[0] == "iteration,success_probability,ideal_closed_form"
         assert len(lines) == 1 + 4
+
+    def test_reference_phase_outside_the_optimum_domain_writes_null(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, reference={"oracle_phase_rad": 4.0})
+        out = tmp_path / "out"
+        assert main(["reference", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["optimal_iterations"] is None
+        assert summary["warnings"][0].startswith("optimal_iterations unavailable:")
+        assert "(optimum unavailable)" in capsys.readouterr().out
 
 
 def sweep_files(out_dir):
@@ -273,6 +310,23 @@ class TestSweepCommand:
         assert sum(name.endswith("/peaks.csv") for name in outputs[0]) == 6
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+
+    def test_point_without_an_estimate_completes_the_sweep(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            preset="paper-42um",
+            mode="analyze",
+            n_pulses=8,
+            sweep=[{"parameter": "oracle.phase_rad", "values": [-1.1, -2.0]}],
+            **SMALL_GRID,
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()]
+        assert rows[0][3] == "estimate_nm"
+        assert float(rows[1][3]) > 0
+        assert rows[2][3] == "nan"
+        assert read_summary(out / "point_001")["estimate_nm"] is None
 
     def test_unknown_sweep_parameter_exits_2(self, tmp_path):
         cfg = write_config(

@@ -148,15 +148,15 @@ class TestUnitConversion:
 
     def test_slit_defaults_to_oracle_center(self):
         cavity = build_config({"preset": "paper-42um"}).to_cavity_config()
-        assert cavity.slit is not None
-        assert cavity.slit.center == pytest.approx(150e-6)
-        assert cavity.slit.width == pytest.approx(55e-6)
+        assert cavity.slit_center is None
+        assert cavity.slit_width == pytest.approx(55e-6)
+        assert cavity.slit_window == pytest.approx((122.5e-6, 177.5e-6))
 
     def test_explicit_slit_center_wins(self):
         cavity = build_config(
             {"preset": "paper-42um", "slit_center_um": -30.0}
         ).to_cavity_config()
-        assert cavity.slit.center == pytest.approx(-30e-6)
+        assert cavity.slit_window == pytest.approx((-57.5e-6, -2.5e-6))
 
     @pytest.mark.parametrize("center_um", [100000.0, -100000.0])
     def test_slit_that_misses_the_grid_is_rejected(self, center_um):
@@ -168,7 +168,7 @@ class TestUnitConversion:
     def test_slit_that_clips_the_grid_edge_is_kept(self):
         cavity = build_config({"preset": "paper-42um", "grid_samples": 4096,
                                "slit_center_um": 4100.0}).to_cavity_config()
-        assert cavity.slit.center == pytest.approx(4100e-6)
+        assert cavity.slit_center == pytest.approx(4100e-6)
 
     def test_defaults_round_trip_through_dump(self):
         cfg = ExperimentConfig()

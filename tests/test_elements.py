@@ -6,7 +6,6 @@ from grover_optics import (
     ConfigurationError,
     Grid1D,
     LossModel,
-    Slit,
     TrapezoidPhasePlate,
     apply_phasor,
     apply_plate,
@@ -17,6 +16,8 @@ from grover_optics import (
     total_energy,
 )
 from grover_optics.elements import _window_overlap
+
+from conftest import paper_cavity
 
 
 def sample_at(values: np.ndarray, grid: Grid1D, x: float) -> float:
@@ -197,5 +198,5 @@ class TestSlitEnergy:
         assert one_cell == pytest.approx(pitch, rel=1e-12)
 
     def test_zero_width_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Slit(center=0.0, width=0.0)
+        with pytest.raises(ConfigurationError, match="slit_width"):
+            paper_cavity(42.0, slit_width=0.0)

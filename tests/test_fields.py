@@ -142,7 +142,7 @@ class TestCenteredTransform:
     def test_fourier_grid_scaling(self):
         # pitch = lambda f / extent, extent = lambda f / pitch
         assert self.fgrid.pitch == pytest.approx(532e-9 * 0.4 / self.grid.extent)
-        assert self.fgrid.extent == pytest.approx(532e-9 * 0.4 / self.grid.pitch)
+        assert self.fgrid.as_grid().extent == pytest.approx(532e-9 * 0.4 / self.grid.pitch)
 
     def test_gaussian_fwhm_product(self):
         # Transform-pair check of the Fourier-plane scaling: a gaussian

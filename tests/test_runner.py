@@ -99,15 +99,16 @@ def column_stacked_profiles(trace, loss_factor):
 
 @pytest.mark.parametrize("n_samples", [1, 255, 256, 257, 513, 4095, 4097])
 def test_profile_blocks_match_savetxt_across_block_edges(tmp_path, n_samples):
-    n_pulses = 3
+    counts = np.arange(3) + 0.5
     trace = SimpleNamespace(
         grid=SimpleNamespace(coordinates=np.linspace(-1e-3, 1e-3, n_samples)),
-        iteration_counts=np.arange(n_pulses) + 0.5,
-        profiles=edge_table(n_pulses, n_samples, seed=n_samples),
+        iteration_counts=counts,
+        profiles=edge_table(counts.size, n_samples, seed=n_samples),
+        compensation=np.array([0.75 ** (-count) for count in counts]),
     )
     expected = savetxt_bytes(tmp_path / "expected.csv", PROFILE_HEADER,
                              column_stacked_profiles(trace, 0.75))
-    got = writer_bytes(tmp_path / "got.csv", PROFILE_HEADER, _profile_columns(trace, 0.75))
+    got = writer_bytes(tmp_path / "got.csv", PROFILE_HEADER, _profile_columns(trace))
     assert got == expected
 
 
@@ -117,8 +118,7 @@ def test_profile_blocks_match_savetxt_on_a_search_trace(tmp_path):
     loss_factor = config.loss.roundtrip_energy_factor
     expected = savetxt_bytes(tmp_path / "expected.csv", PROFILE_HEADER,
                              column_stacked_profiles(trace, loss_factor))
-    got = writer_bytes(tmp_path / "got.csv", PROFILE_HEADER,
-                       _profile_columns(trace, loss_factor))
+    got = writer_bytes(tmp_path / "got.csv", PROFILE_HEADER, _profile_columns(trace))
     assert got == expected
 
 
