@@ -21,6 +21,7 @@ every value of a table too small for the array steps to pay off.
 import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from functools import reduce
 from pathlib import Path
 
@@ -337,7 +338,7 @@ def _search_summary(cfg: ExperimentConfig, trace) -> dict:
         "equivalent_qubits": _round9(
             analysis.equivalent_qubits(fwhm_m, resolution_m, 1)
         ),
-        "config": cfg.model_dump(mode="json"),
+        "config": asdict(cfg),
     }
     if warnings:
         summary["warnings"] = warnings
@@ -397,7 +398,7 @@ def _run_pulse_train_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "mode": cfg.mode,
         "slit_energies": [_round9(e) for e in energies],
         "consecutive_energy_ratios": ratios,
-        "config": cfg.model_dump(mode="json"),
+        "config": asdict(cfg),
     }
     _write_summary(out_dir / "summary.json", summary)
     return summary
@@ -433,7 +434,7 @@ def _run_reference_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "oscillation_period": _round9(
             reference.oscillation_period(ref.n_items, ref.n_marked)
         ),
-        "config": cfg.model_dump(mode="json"),
+        "config": asdict(cfg),
     }
     if warnings:
         summary["warnings"] = warnings
@@ -523,7 +524,7 @@ def sweep(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         return run(cfg, out_dir)
 
     axes = cfg.sweep
-    base = cfg.model_dump(mode="json")
+    base = asdict(cfg)
     base["sweep"] = []
     combos = list(itertools.product(*(axis.values for axis in axes)))
 
@@ -579,7 +580,7 @@ def sweep(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     aggregate = {
         "artifact_version": __version__,
         "mode": cfg.mode,
-        "axes": [axis.model_dump() for axis in axes],
+        "axes": [asdict(axis) for axis in axes],
         "n_points": len(combos),
         "points": [
             {

@@ -136,6 +136,28 @@ class TestErrorPaths:
         assert not out.exists()
         assert "slit window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, number", [
+        ("n_pulses", 10**20),  # beyond the kernel's index type
+        ("wavelength_nm", 10**399),  # beyond float64
+    ])
+    def test_number_out_of_machine_range_exits_2_before_writing(
+        self, tmp_path, capsys, key, number
+    ):
+        cfg = write_config(tmp_path, preset="paper-42um", grid_samples=4096, **{key: number})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"config error: {key}: " in capsys.readouterr().err
+
+    def test_int_echoes_as_float_and_integral_float_as_int(self, tmp_path):
+        cfg = write_config(tmp_path, preset="paper-42um", grid_samples=4096.0,
+                           focal_length_2_mm=600)
+        out = tmp_path / "out"
+        assert main(["reference", "--config", str(cfg), "--out", str(out)]) == 0
+        text = (out / "summary.json").read_text()
+        assert '"grid_samples": 4096,' in text
+        assert '"focal_length_2_mm": 600.0,' in text
+
     def test_missing_config_file_exits_4(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 4
 
@@ -363,6 +385,14 @@ class TestSweepCommand:
         assert not out.exists()
         assert f"sweep point {len(values) - 1}" in capsys.readouterr().err
 
+    def test_sweep_of_numbers_over_a_bool_exits_2_before_writing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, preset="paper-42um",
+                           sweep=[{"parameter": "compensate_loss", "values": [0, 1]}])
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "sweep point 0: compensate_loss: must be true or false" in capsys.readouterr().err
+
     def test_sweep_without_axes_is_a_single_run(self, tmp_path):
         cfg = small_search_config(tmp_path)
         out = tmp_path / "out"
@@ -385,3 +415,21 @@ def test_module_entry_point_smoke(tmp_path):
     assert result.returncode == 0
     assert "first maximum" in result.stdout
     assert (out / "summary.json").exists()
+
+
+def test_runs_without_pydantic(tmp_path):
+    script = f"""
+import sys
+sys.modules["pydantic"] = None  # any import of pydantic now raises ImportError
+from grover_optics.cli import build_config, main
+build_config({{"preset": "paper-42um"}})
+code = main(["reference", "--out", {str(tmp_path / "out")!r}])
+print(sorted(name for name, module in sys.modules.items()
+             if name.startswith("pydantic") and module is not None))
+sys.exit(code)
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "summary.json").exists()

@@ -1,5 +1,9 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -87,6 +91,51 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=f"{key}.*finite"):
             build_config(raw)
 
+    @pytest.mark.parametrize("raw, key", [
+        ({"wavelength_nm": "532"}, "wavelength_nm"),
+        ({"compensate_loss": "yes"}, "compensate_loss"),
+        ({"n_pulses": True}, "n_pulses"),
+        ({"workers": "2"}, "workers"),
+        ({"grid_samples": "4096"}, "grid_samples"),
+    ])
+    def test_no_json_type_is_coerced_into_another(self, raw, key):
+        with pytest.raises(ConfigurationError, match=f"^{key}: "):
+            build_config(raw)
+
+    def test_integral_float_loads_into_an_int_field(self):
+        cfg = build_config({"preset": "paper-42um", "grid_samples": 4096.0})
+        assert type(cfg.grid_samples) is int and cfg.grid_samples == 4096
+
+    @pytest.mark.parametrize("n_pulses", [2**63, -2**63, 4.5])
+    def test_int_field_takes_only_integers_below_2_to_the_63(self, n_pulses):
+        with pytest.raises(ConfigurationError, match="n_pulses: must be an integer below"):
+            build_config({"n_pulses": n_pulses})
+
+    def test_unknown_mode_lists_the_choices(self):
+        with pytest.raises(ConfigurationError, match="^mode: ") as info:
+            build_config({"mode": "searching"})
+        for choice in ("search", "pulse-train", "reference", "analyze"):
+            assert repr(choice) in str(info.value)
+
+    def test_errors_are_listed_in_field_order_on_every_run(self):
+        # Keys in reverse field order, then two unknown keys, which are
+        # listed in input order; the message must not depend on string
+        # hashing, so it is also read from processes with other seeds.
+        raw = {"zeta": 1, "workers": 0, "alpha": 2, "wavelength_nm": -1.0}
+        expected = ("wavelength_nm: must be > 0; workers: must be >= 1; "
+                    "zeta: unknown key; alpha: unknown key")
+        script = ("from grover_optics import ConfigurationError, build_config\n"
+                  f"try:\n    build_config({raw!r})\n"
+                  "except ConfigurationError as err:\n    print(err)\n")
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, timeout=60, check=True)
+            assert done.stdout.strip() == expected
+        with pytest.raises(ConfigurationError) as info:
+            build_config(raw)
+        assert str(info.value) == expected
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigurationError, match="wavelength_um"):
             build_config({"wavelength_um": 0.532})
@@ -172,8 +221,7 @@ class TestUnitConversion:
 
     def test_defaults_round_trip_through_dump(self):
         cfg = ExperimentConfig()
-        again = ExperimentConfig.model_validate(cfg.model_dump())
-        assert again == cfg
+        assert build_config(dataclasses.asdict(cfg)) == cfg
 
 
 class TestFileLoading:
