@@ -41,6 +41,12 @@ fields and oracle phasors are ``(B, n)`` arrays, the IAA phasor is one
 into the same preallocated buffers.  Each row's arithmetic is the
 single-cavity arithmetic, so batching changes no bit.  ``run_search``
 is the batch of one.
+
+Each pulse is measured in the loop, row by row, on its intensity: the
+brightest sample, the lobe center, the total energy and the energy
+through the detection slit.  The ``(B, P, n)`` profiles are kept only
+when the caller asks for them (search mode, which writes them); the
+pulse train reads its slit energies off the trace.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -92,7 +98,7 @@ class CavityConfig:
     55 um detection slit on the image of the oracle line, and a
     16384-sample grid at 2 um pitch.  ``slit_center`` None means the
     oracle plate's center; ``slit_window`` is the window it gives, and
-    the one ``pulse_train`` integrates over.
+    the one every pulse's slit energy integrates over.
     """
 
     oracle_plate: TrapezoidPhasePlate
@@ -162,7 +168,10 @@ class SearchTrace:
     Pulse j (1-based) appears at row j - 1 with iteration_count j - 0.5.
     ``profiles`` holds the recorded output intensities (scaled by the
     output mirror transmission), or is ``None`` for a run that kept only
-    the measurements below.  ``compensation`` holds pulse j's factor
+    the measurements below.  ``slit_energies`` are the uncompensated
+    energies through ``CavityConfig.slit_window``: each sample cell's
+    intensity weighted by the length of it the window covers, summed
+    over the whole grid.  ``compensation`` holds pulse j's factor
     loss^-(j - 0.5), which undoes the uniform decay the way the raw
     measurement data is rescaled for display; ``compensated_peak_values``
     and the compensated profiles of ``profiles.csv`` are scaled by it.
@@ -183,6 +192,7 @@ class SearchTrace:
     peak_values: np.ndarray
     compensation: np.ndarray
     total_energies: np.ndarray
+    slit_energies: np.ndarray
     peak_at_edge: np.ndarray
 
     @property
@@ -247,17 +257,17 @@ def grover_iterate(field: ComplexField, config: CavityConfig) -> ComplexField:
     return _through_fourier_plane(marked, config, _iaa_phasor(config, 2), 1.0)
 
 
-def _lobe_center(intensity: np.ndarray, coords: np.ndarray) -> float:
+def _lobe_center(intensity: np.ndarray, coords: np.ndarray, idx: int) -> float:
     """Position of the dominant intensity lobe.
 
     The amplified structure is flat-topped (it fills the oracle flat
     region), so the brightest single sample rides the plateau edge
     wherever the beam envelope tilts it.  The lobe is therefore located
     by the intensity-weighted centroid of the contiguous half-maximum
-    region around the brightest sample, which lands at the plateau
-    center for a (tilted) top-hat and at the peak for a smooth lobe.
+    region around the brightest sample, ``intensity[idx]``, which lands
+    at the plateau center for a (tilted) top-hat and at the peak for a
+    smooth lobe.
     """
-    idx = int(np.argmax(intensity))
     half = intensity[idx] / 2.0
     lo = idx
     while lo > 0 and intensity[lo - 1] >= half:
@@ -272,8 +282,8 @@ def _lobe_center(intensity: np.ndarray, coords: np.ndarray) -> float:
 def _batch_key(config: CavityConfig) -> tuple:
     """The settings that cavities run together by ``_run_batch`` share.
 
-    Only the oracle plate and the input FWHM may differ between rows;
-    the slit does not enter the pulse loop.
+    Only the oracle plate, the input FWHM and the slit may differ
+    between rows; each row measures its own slit.
     """
     return (config.grid, config.wavelength, config.focal_length_1, config.loss,
             config.output_mirror_transmission, config.n_pulses, config.iaa_plate)
@@ -288,12 +298,15 @@ def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[Searc
     pass overwrites the same preallocated buffers.  All arithmetic is
     row-wise, so each row's trace is bit-identical to running its config
     alone.  Profiles are kept only if ``record_profiles``; otherwise the
-    traces' ``profiles`` are ``None``.
+    traces' ``profiles`` are ``None``.  A row's slit energy is
+    ``np.sum(line * overlap)`` of its intensity line and slit overlap,
+    with the product written into one reused buffer: the operands and
+    the full-length sum of a recorded profile, so the same bits.
     """
     first = configs[0]
     if any(_batch_key(config) != _batch_key(first) for config in configs):
         raise ValueError(
-            "batched cavities may differ only in oracle plate and input FWHM"
+            "batched cavities may differ only in slit, oracle plate and input FWHM"
         )
     rows, n, n_pulses = len(configs), first.grid.n_samples, first.n_pulses
     loss_factor = first.loss.roundtrip_energy_factor
@@ -309,6 +322,7 @@ def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[Searc
     peak_positions = np.empty((rows, n_pulses))
     peak_values = np.empty((rows, n_pulses))
     energies = np.empty((rows, n_pulses))
+    slit_energies = np.empty((rows, n_pulses))
     at_edge = np.zeros((rows, n_pulses), dtype=bool)
 
     oracle = np.fft.ifftshift(
@@ -322,6 +336,8 @@ def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[Searc
     spectrum = np.empty_like(circulating)
     power = np.empty((rows, n))
     shifted = None if record_profiles else np.empty((rows, n))
+    overlaps = [_window_overlap(c.grid, *c.slit_window) for c in configs]
+    weighted = np.empty(n)
     for row in range(n_pulses):
         # Forward half pass, recorded in upright (oracle) orientation.
         np.multiply(oracle, circulating, out=field)
@@ -335,9 +351,10 @@ def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[Searc
         np.concatenate((power[:, half:], power[:, :half]), axis=-1, out=intensity)
         for b, line in enumerate(intensity):
             idx = int(np.argmax(line))
-            peak_positions[b, row] = _lobe_center(line, coords)
+            peak_positions[b, row] = _lobe_center(line, coords, idx)
             peak_values[b, row] = line[idx]
             energies[b, row] = float(np.sum(line) * pitch)
+            slit_energies[b, row] = np.sum(np.multiply(line, overlaps[b], out=weighted))
             at_edge[b, row] = idx in (0, n - 1)
 
         # Backward half pass: flip to the physical output orientation,
@@ -356,6 +373,7 @@ def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[Searc
             peak_values=peak_values[b],
             compensation=compensation.copy(),
             total_energies=energies[b],
+            slit_energies=slit_energies[b],
             peak_at_edge=at_edge[b],
         )
         for b in range(rows)
@@ -373,18 +391,21 @@ def run_search(config: CavityConfig, record_profiles: bool = True) -> SearchTrac
     advance the field.  Both plates act once per half pass with the same
     mask, so each phasor is built once, before the pulse loop.  With
     ``record_profiles`` false the trace keeps only the per-pulse
-    measurements and its ``profiles`` is ``None``.
+    measurements, the slit energies among them, and its ``profiles`` is
+    ``None``.
     """
     return _run_batch([config], record_profiles)[0]
 
 
 def pulse_train(config: CavityConfig) -> list[tuple[float, float]]:
-    """Slit-integrated energy of every recorded (uncompensated) pulse,
-    over ``config.slit_window``: each sample cell weighted by the length
-    of it the window covers."""
-    trace = run_search(config)
-    overlap = _window_overlap(config.grid, *config.slit_window)
+    """``(iteration_count, slit_energy)`` of every recorded pulse.
+
+    The energies are uncompensated and integrate over
+    ``config.slit_window`` (see ``SearchTrace``).  The loop measures them
+    pulse by pulse, so no profile is kept.
+    """
+    trace = run_search(config, record_profiles=False)
     return [
-        (float(count), float(np.sum(trace.profiles[row] * overlap)))
-        for row, count in enumerate(trace.iteration_counts)
+        (float(count), float(energy))
+        for count, energy in zip(trace.iteration_counts, trace.slit_energies)
     ]

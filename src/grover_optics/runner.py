@@ -29,7 +29,8 @@ import numpy as np
 
 from . import analysis, reference
 from ._version import __version__
-from .cavity import _batch_key, _run_batch, pulse_train, run_search
+from .cavity import _batch_key, _run_batch, run_search
+from .cavity import pulse_train  # noqa: F401  (unused here; perfbench/spans.py patches it)
 from .config import ExperimentConfig, build_config
 from .errors import ConfigurationError, MeasurementError
 
@@ -379,14 +380,13 @@ def _write_search_outputs(cfg: ExperimentConfig, trace, out_dir: Path) -> dict:
     return summary
 
 
-def _run_pulse_train_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    train = pulse_train(cfg.to_cavity_config())
-    counts = [count for count, _ in train]
-    energies = [energy for _, energy in train]
+def _write_train_outputs(cfg: ExperimentConfig, trace, out_dir: Path) -> dict:
+    """Write a pulse-train run's files for ``trace``; return its summary."""
+    energies = trace.slit_energies.tolist()
     _write_table(
         out_dir / "train.csv",
         "iteration_count,slit_energy",
-        [counts, energies],
+        [trace.iteration_counts, trace.slit_energies],
     )
     # A ratio after a zero slit energy is undefined: null in the summary.
     ratios = [
@@ -442,16 +442,25 @@ def _run_reference_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
     return summary
 
 
+def _write_cavity_outputs(cfg: ExperimentConfig, trace, out_dir: Path) -> dict:
+    """Write the files of a cavity run (any mode but reference)."""
+    if cfg.mode == "pulse-train":
+        return _write_train_outputs(cfg, trace, out_dir)
+    return _write_search_outputs(cfg, trace, out_dir)
+
+
 def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
-    """Execute one configured run; returns the summary that was written."""
+    """Execute one configured run; returns the summary that was written.
+
+    Only search mode keeps the pulse profiles: it is the mode that
+    writes them.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.mode == "reference":
         return _run_reference_mode(cfg, out)
-    if cfg.mode == "pulse-train":
-        return _run_pulse_train_mode(cfg, out)
     trace = run_search(cfg.to_cavity_config(), record_profiles=cfg.mode == "search")
-    return _write_search_outputs(cfg, trace, out)
+    return _write_cavity_outputs(cfg, trace, out)
 
 
 # Bytes of complex128 field rows per batched kernel call: 2 rows at
@@ -511,10 +520,10 @@ def sweep(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
 
     Each grid point becomes a run in ``point_NNN/`` under the output
     directory; the aggregate table ``sweep.csv`` is keyed by the swept
-    values in deterministic (row-major product) order.  Search and
-    analyze points run in chunks of compatible cavities, one
-    ``_run_batch`` call each (see ``_batch_chunks``); other modes run
-    point by point.  Up to ``cfg.workers`` threads share the chunks, and
+    values in deterministic (row-major product) order.  Search, analyze
+    and pulse-train points run in chunks of compatible cavities, one
+    ``_run_batch`` call each (see ``_batch_chunks``); reference points
+    run point by point.  Up to ``cfg.workers`` threads share the chunks, and
     no output depends on how many.  With no axes configured
     this degenerates to a single ordinary run.  Every point is built
     and validated before anything is written, so a sweep with one bad
@@ -541,7 +550,7 @@ def sweep(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    batched = cfg.mode in ("search", "analyze")
+    batched = cfg.mode != "reference"
     if batched:
         cavities = [point.to_cavity_config() for point in point_configs]
         chunks = _batch_chunks(cavities)
@@ -556,7 +565,7 @@ def sweep(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         for i, trace in zip(chunk, traces):
             point_dir = out / f"point_{i:03d}"
             point_dir.mkdir(exist_ok=True)
-            summaries.append(_write_search_outputs(point_configs[i], trace, point_dir))
+            summaries.append(_write_cavity_outputs(point_configs[i], trace, point_dir))
         return summaries
 
     if cfg.workers > 1:

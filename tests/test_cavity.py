@@ -184,6 +184,7 @@ class TestRunSearch:
         n = config.grid.n_samples
         loss_factor = config.loss.roundtrip_energy_factor
         coords = config.grid.coordinates
+        overlap = elements._window_overlap(config.grid, *config.slit_window)
         oracle = elements.plate_phasor(config.oracle_plate, config.grid, 1)
         iaa = cavity._iaa_phasor(config, 1)
         circulating = config.input_field()
@@ -196,10 +197,11 @@ class TestRunSearch:
             idx = int(np.argmax(intensity))
             rows.append((
                 intensity,
-                cavity._lobe_center(intensity, coords),
+                cavity._lobe_center(intensity, coords, idx),
                 intensity[idx],
                 (intensity * loss_factor ** (-count))[idx],
                 float(np.sum(intensity) * config.grid.pitch),
+                np.sum(intensity * overlap),
                 idx in (0, n - 1),
             ))
             returned = cavity._through_fourier_plane(parity_flip(upright), config, iaa, 0.5)
@@ -207,7 +209,7 @@ class TestRunSearch:
 
         trace = run_search(config)
         names = ("profiles", "peak_positions", "peak_values", "compensated_peak_values",
-                 "total_energies", "peak_at_edge")
+                 "total_energies", "slit_energies", "peak_at_edge")
         for name, expected in zip(names, zip(*rows)):
             assert np.array_equal(getattr(trace, name), np.array(expected)), name
 
@@ -267,7 +269,8 @@ class TestRunSearch:
             for center_um in (-450.0, -150.0, 150.0, 450.0)
         ]
         names = ("iteration_counts", "profiles", "peak_positions", "peak_values",
-                 "compensated_peak_values", "total_energies", "peak_at_edge")
+                 "compensated_peak_values", "total_energies", "slit_energies",
+                 "peak_at_edge")
         batch = cavity._run_batch(configs, record_profiles=True)
         for config, batched in zip(configs, batch):
             single = run_search(config)

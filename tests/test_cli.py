@@ -1,10 +1,14 @@
+import ctypes
 import json
+import platform
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from grover_optics import build_config, pulse_train, runner
+from grover_optics import build_config, cli, pulse_train, runner
 from grover_optics.cli import main
 
 SMALL_GRID = {"grid_samples": 4096, "grid_pitch_um": 2.0}
@@ -207,8 +211,9 @@ class TestPulseTrainCommand:
         def reject(token):
             raise ValueError(f"summary.json holds the non-JSON token {token}")
 
-        monkeypatch.setattr(runner, "pulse_train",
-                            lambda cavity: [(0.5, 0.0), (1.5, 2e-4), (2.5, 1e-4)])
+        trace = SimpleNamespace(iteration_counts=np.array([0.5, 1.5, 2.5]),
+                                slit_energies=np.array([0.0, 2e-4, 1e-4]))
+        monkeypatch.setattr(runner, "run_search", lambda cavity, record_profiles: trace)
         cfg = write_config(tmp_path, preset="paper-42um", **SMALL_GRID)
         out = tmp_path / "out"
         assert main(["pulse-train", "--config", str(cfg), "--out", str(out)]) == 0
@@ -300,7 +305,7 @@ class TestSweepCommand:
         ) == 0
         assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
 
-    @pytest.mark.parametrize("mode", ["search", "analyze"])
+    @pytest.mark.parametrize("mode", ["search", "analyze", "pulse-train"])
     @pytest.mark.parametrize(
         "second_axis",
         [
@@ -329,7 +334,8 @@ class TestSweepCommand:
             assert main(["sweep", "--config", str(cfg), "--out", str(out),
                          "--workers", str(workers)]) == 0
             outputs.append(sweep_files(out))
-        assert sum(name.endswith("/peaks.csv") for name in outputs[0]) == 6
+        table = "train.csv" if mode == "pulse-train" else "peaks.csv"
+        assert sum(name.endswith("/" + table) for name in outputs[0]) == 6
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
 
@@ -432,4 +438,48 @@ sys.exit(code)
                             timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "summary.json").exists()
+
+
+def glibc_mallopt() -> bool:
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    return hasattr(ctypes.CDLL(None), "mallopt")
+
+
+@pytest.mark.skipif(not glibc_mallopt(), reason="needs glibc's mallopt")
+def test_fft_scratch_stays_mapped_after_main(tmp_path):
+    # Without the allocator pin glibc maps and unmaps the FFT's 512 KiB
+    # scratch on every call: about 11,000 minor faults for these 50.
+    script = f"""
+import resource
+import numpy as np
+from grover_optics.cli import main
+assert main(["reference", "--out", {str(tmp_path / "out")!r}]) == 0
+rows = np.ones((2, 16384), dtype=complex)
+np.fft.fft(rows)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    np.fft.fft(rows)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout.splitlines()[-1]) < 100
+
+
+@pytest.mark.parametrize("missing", ["libc", "mallopt"])
+def test_main_runs_without_mallopt(tmp_path, monkeypatch, missing):
+    def load(name):
+        if missing == "libc":
+            raise OSError("no C library")
+        return SimpleNamespace()  # a library without mallopt
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", load)
+    cli._pin_allocator.cache_clear()
+    try:
+        assert main(["reference", "--out", str(tmp_path / "out")]) == 0
+    finally:
+        cli._pin_allocator.cache_clear()
     assert (tmp_path / "out" / "summary.json").exists()

@@ -7,7 +7,9 @@ unitary FFTs are that flip, one native half pass is the checked
 ``ComplexField`` chain, bit for bit, and a batch of rows is that many
 one-row runs, bit for bit.  Below 16384 samples numpy computes some
 operations in different temporaries than above, so these sizes are
-checked on their own.  Two more facts follow: the centered transform
+checked on their own.  The loop's slit energies are the sums of the
+recorded profiles times the slit overlap, bit for bit, wherever the slit
+sits.  Two more facts follow: the centered transform
 preserves energy, and ``first_maximum`` ignores a uniform scale of the
 peak values.  The file closes with the table writer's cell formatter,
 which must spell every float64 exactly as ``'%.9g' % v`` does.
@@ -37,6 +39,7 @@ from grover_optics import (  # noqa: E402
     parity_flip,
 )
 from grover_optics.cavity import _native_half_pass, _through_fourier_plane  # noqa: E402
+from grover_optics.elements import _window_overlap  # noqa: E402
 from grover_optics.fields import _reverse_about_zero  # noqa: E402
 from grover_optics.runner import _FAST_MIN_CELLS, _CellFormatter  # noqa: E402
 
@@ -83,7 +86,8 @@ def test_native_half_pass_is_the_field_chain_bit_for_bit(n, seed, factor):
 
 
 TRACE_FIELDS = ("iteration_counts", "profiles", "peak_positions", "peak_values",
-                "compensated_peak_values", "total_energies", "peak_at_edge")
+                "compensated_peak_values", "total_energies", "slit_energies",
+                "peak_at_edge")
 
 
 @settings(deadline=None)
@@ -122,6 +126,52 @@ def test_batched_kernel_is_the_one_row_kernel_bit_for_bit(n, rows, seed, factor,
                 assert batched.profiles is None and single.profiles is None
             else:
                 assert np.array_equal(getattr(batched, name), getattr(single, name)), name
+
+
+def slit_center(where: str, grid: Grid1D) -> float:
+    """A slit center on the beam, far off it, or astride the grid's
+    first cell edge (half the window off the grid)."""
+    if where == "on":
+        return 0.0
+    if where == "far":  # as 12 mm is on the default 32.8 mm grid
+        return 0.37 * grid.extent
+    return -(grid.n_samples // 2 + 0.5) * grid.pitch
+
+
+@settings(deadline=None)
+@given(n=sizes, seed=seeds,
+       slits=st.lists(st.tuples(st.sampled_from(["on", "far", "edge"]),
+                                st.floats(min_value=0.3, max_value=30.0)),
+                      min_size=1, max_size=4),
+       record=st.booleans())
+def test_loop_slit_energy_is_the_profile_sum_bit_for_bit(n, seed, slits, record):
+    # Each row has its own slit, ``pitches`` sample cells wide; random
+    # plate phasors give the intensity structure.
+    grid = Grid1D(n, 2e-6)
+    iaa_plate = TrapezoidPhasePlate(center=0.0, flat_width=1e-6, ramp_width=0.0,
+                                    phase_depth=0.0)
+    oracle_plates = [
+        TrapezoidPhasePlate(center=0.0, flat_width=1e-6, ramp_width=0.0,
+                            phase_depth=0.1 * (k + 1))
+        for k in range(len(slits))
+    ]
+    rng = np.random.default_rng(seed)
+    phasors = {plate: np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+               for plate in (iaa_plate, *oracle_plates)}
+    configs = [
+        CavityConfig(oracle_plate=plate, iaa_plate=iaa_plate, input_fwhm=grid.extent / 6,
+                     grid=grid, n_pulses=3, slit_width=pitches * grid.pitch,
+                     slit_center=slit_center(where, grid))
+        for plate, (where, pitches) in zip(oracle_plates, slits)
+    ]
+    with mock.patch.object(cavity, "plate_phasor",
+                           lambda plate, grid, passes: phasors[plate]):
+        loop = cavity._run_batch(configs, record)
+        recorded = cavity._run_batch(configs, True)
+    for config, measured, traced in zip(configs, loop, recorded):
+        overlap = _window_overlap(grid, *config.slit_window)
+        expected = [np.sum(profile * overlap) for profile in traced.profiles]
+        assert measured.slit_energies.tolist() == expected
 
 
 @settings(deadline=None)
