@@ -23,18 +23,18 @@ Conventions used throughout:
   half passes; the output mirror transmission only scales what is
   recorded and does not deplete the circulating field further.
 
-How a pulse is computed: ``_through_fourier_plane`` and
-``grover_iterate`` compose the checked chain — ``ComplexField``,
-``dft_centered``, ``idft_centered`` — which validates grids at every
-step and returns a fresh field each time.  The pulse loop would repeat
-that chain for every pulse, so it instead keeps the circulating field as
-a plain array in FFT-native (``ifftshift``ed) order, with both plate
-phasors shifted into that order once per run.  Every step is then either
-a permutation or the same arithmetic on the same operands as the chain,
-so the recorded intensities (``fftshift``ed back) are bit-identical to
-it; the tests use the chain as the oracle for the loop.
+How a pulse is computed: one kernel, ``_run_batch``, computes every
+pulse of every CLI path.  It keeps the circulating field as a plain
+array in FFT-native (``ifftshift``ed) order, with both plate phasors
+shifted into that order once per run, so each half pass is
+``np.fft.fft``, the IAA phasor, ``np.fft.ifft`` and the loss, with no
+shifts; only the recorded intensity is ``fftshift``ed back.  Every step
+is a permutation or the arithmetic of the same step in centered order,
+on the same operands, so the profiles are bit-identical to the centered
+chain; ``tests/oracle.py`` writes that chain in plain numpy and the
+tests hold the kernel to it bit for bit.
 
-The loop, ``_run_batch``, runs B compatible cavities at once (a sweep
+The loop runs B compatible cavities at once (a sweep
 over oracle plates, say) along a leading batch axis: the circulating
 fields and oracle phasors are ``(B, n)`` arrays, the IAA phasor is one
 ``(n,)`` array broadcast across the batch, and each half pass writes
@@ -57,28 +57,19 @@ from .elements import (
     LossModel,
     TrapezoidPhasePlate,
     _window_overlap,
-    apply_phasor,
-    apply_plate,
-    apply_roundtrip_loss,
     check_plate_fits,
     plate_phasor,
 )
 from .errors import ConfigurationError
-from .fields import (
-    ComplexField,
-    FourierGrid,
-    Grid1D,
-    _reverse_about_zero,
-    dft_centered,
-    gaussian_input,
-    idft_centered,
-    parity_flip,  # noqa: F401  (unused here; perfbench/spans.py patches it)
-)
+from .fields import FourierGrid, Grid1D, _reverse_about_zero, gaussian_input
+
+# Patched by perfbench/spans.py; delete with ROADMAP item 2.
+from .elements import apply_plate, apply_roundtrip_loss  # noqa: F401
+from .fields import dft_centered, idft_centered, parity_flip  # noqa: F401
 
 __all__ = [
     "CavityConfig",
     "SearchTrace",
-    "grover_iterate",
     "run_search",
     "pulse_train",
 ]
@@ -156,10 +147,6 @@ class CavityConfig:
         """Fourier frame of the first lens, shared by all transforms."""
         return FourierGrid(self.grid, self.wavelength, self.focal_length_1)
 
-    def input_field(self) -> ComplexField:
-        """The normalized gaussian beam injected into the cavity."""
-        return gaussian_input(self.grid, self.input_fwhm)
-
 
 @dataclass(frozen=True)
 class SearchTrace:
@@ -204,57 +191,26 @@ class SearchTrace:
         return self.peak_values * self.compensation
 
 
-def _iaa_phasor(config: CavityConfig, passes: int) -> np.ndarray:
-    """The IAA plate's mask on the Fourier plane (see ``plate_phasor``)."""
-    return plate_phasor(config.iaa_plate, config.fourier_grid.as_grid(), passes)
-
-
-def _through_fourier_plane(
-    field: ComplexField, config: CavityConfig, iaa: np.ndarray, fraction: float
-) -> ComplexField:
-    """Lens, IAA plate (phasor ``iaa``), inverse lens, then ``fraction``
-    of the roundtrip loss: the chain every half pass and roundtrip share.
-
-    The result is upright (oracle-plane orientation); the physical second
-    lens adds a parity flip, F = parity after F^-1, which callers apply
-    where they need it.  The loss is one real scalar, so applying it
-    before or after that flip gives the same bits.
-    """
-    fgrid = config.fourier_grid
-    shifted = apply_phasor(dft_centered(field, fgrid), iaa)
-    return apply_roundtrip_loss(idft_centered(shifted, fgrid), config.loss, fraction)
-
-
 def _native_half_pass(
     field: np.ndarray, iaa: np.ndarray, scale: float, spectrum: np.ndarray
 ) -> np.ndarray:
-    """``_through_fourier_plane`` on FFT-native arrays: FFT, IAA, iFFT, loss.
+    """Lens, IAA plate, inverse lens and half the roundtrip loss, on
+    FFT-native arrays: FFT, IAA phasor, iFFT, loss.
 
     Works in place along the last axis: ``field`` (one row or a
     ``(B, n)`` batch) is overwritten with the result and returned, and
     ``spectrum``, of the same shape, holds the Fourier plane.  ``iaa``
     is the ``ifftshift``ed ``(n,)`` phasor, broadcast over the batch, and
-    ``scale`` the amplitude factor of the loss.  The arithmetic is the
-    chain's, operand for operand, so the result is its output
-    ``ifftshift``ed, bit for bit.  ``out=`` on the fft functions needs
-    numpy 2.0, the package's declared floor.
+    ``scale`` the amplitude factor of the loss.  The result is upright
+    (oracle-plane orientation); the physical second lens adds a parity
+    flip, F = parity after F^-1, which the caller applies where it needs
+    it.  ``out=`` on the fft functions needs numpy 2.0, the package's
+    declared floor.
     """
     np.fft.fft(field, norm="ortho", out=spectrum)
     np.multiply(iaa, spectrum, out=spectrum)
     np.fft.ifft(spectrum, norm="ortho", out=field)
     return np.multiply(field, scale, out=field)
-
-
-def grover_iterate(field: ComplexField, config: CavityConfig) -> ComplexField:
-    """One full roundtrip in oracle-plane coordinates.
-
-    Applies the double-pass oracle phase, transforms to the Fourier
-    plane, applies the double-pass IAA phase, transforms back, and
-    takes one full roundtrip of loss.  With plate depths 0 and loss 1
-    this is the identity.
-    """
-    marked = apply_plate(field, config.oracle_plate, 2)
-    return _through_fourier_plane(marked, config, _iaa_phasor(config, 2), 1.0)
 
 
 def _lobe_center(intensity: np.ndarray, coords: np.ndarray, idx: int) -> float:
@@ -328,9 +284,9 @@ def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[Searc
     oracle = np.fft.ifftshift(
         np.stack([plate_phasor(c.oracle_plate, c.grid, 1) for c in configs]), axes=-1
     )
-    iaa = np.fft.ifftshift(_iaa_phasor(first, 1))
+    iaa = np.fft.ifftshift(plate_phasor(first.iaa_plate, first.fourier_grid.as_grid(), 1))
     circulating = np.fft.ifftshift(
-        np.stack([c.input_field().amplitudes for c in configs]), axes=-1
+        np.stack([gaussian_input(c.grid, c.input_fwhm) for c in configs]), axes=-1
     )
     field = np.empty_like(circulating)
     spectrum = np.empty_like(circulating)
@@ -340,6 +296,11 @@ def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[Searc
     weighted = np.empty(n)
     for row in range(n_pulses):
         # Forward half pass, recorded in upright (oracle) orientation.
+        # Every plate multiply puts the phasor first: the vectorized
+        # complex multiply is not bitwise commutative, and this is the
+        # order in which numpy evaluated ``amplitudes * exp(...)`` on
+        # arrays of 256 KiB and more, where it reuses the temporary
+        # ``exp`` result in place.  Keeping it pins the output bits.
         np.multiply(oracle, circulating, out=field)
         _native_half_pass(field, iaa, scale, spectrum)
 

@@ -4,8 +4,7 @@ Subcommands mirror the run modes; a config file and a named preset can
 be combined, with explicit config keys taking precedence over preset
 values and command-line flags over both.
 
-Exit codes: 0 success, 2 configuration error, 3 simulation error,
-4 I/O error.
+Exit codes: 0 success, 2 configuration error, 4 I/O error.
 
 ``main`` also pins glibc's allocator thresholds, once per process (see
 ``_pin_allocator``).  Importing the package changes nothing.
@@ -18,12 +17,11 @@ import sys
 from pathlib import Path
 
 from .config import PRESET_NAMES, ExperimentConfig, build_config, read_raw_config
-from .errors import ConfigurationError, GridMismatchError, MeasurementError
+from .errors import ConfigurationError
 from .runner import run, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_SIMULATION = 3
 EXIT_IO = 4
 
 
@@ -132,9 +130,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MeasurementError, GridMismatchError) as err:
-        print(f"simulation error: {err}", file=sys.stderr)
-        return EXIT_SIMULATION
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
@@ -155,7 +150,9 @@ def _g(value: float | None) -> str:
 def _headline(summary: dict) -> list[str]:
     lines = []
     mode = summary.get("mode")
-    if mode in ("search", "analyze") and summary.get("first_maximum") is not None:
+    if "n_points" in summary:  # a sweep's aggregate, which carries its mode too
+        lines.append(f"swept {summary['n_points']} points")
+    elif mode in ("search", "analyze") and summary.get("first_maximum") is not None:
         lines.append(
             f"first maximum at iteration {summary['first_maximum']:g} "
             f"-> N/m estimate {_g(summary['estimate_nm'])} "
@@ -171,8 +168,6 @@ def _headline(summary: dict) -> list[str]:
         ratios = summary.get("consecutive_energy_ratios", [])
         if ratios and ratios[0] is not None:
             lines.append(f"first consecutive energy ratio {ratios[0]:g}")
-    elif "n_points" in summary:
-        lines.append(f"swept {summary['n_points']} points")
     return lines
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "LossModel",
     "phase_profile",
     "plate_phasor",
-    "apply_phasor",
     "apply_plate",
     "apply_roundtrip_loss",
 ]
@@ -119,25 +118,14 @@ def plate_phasor(plate: TrapezoidPhasePlate, grid: Grid1D, passes: int) -> np.nd
     return np.exp(1j * passes * phase_profile(plate, grid))
 
 
-def apply_phasor(field: ComplexField, phasor: np.ndarray) -> ComplexField:
-    """Multiply the field by a unit-modulus mask from :func:`plate_phasor`.
-
-    The product is written ``phasor * amplitudes``, in that order: the
-    vectorized complex multiply is not bitwise commutative, and this is
-    the order in which numpy evaluated ``amplitudes * exp(...)`` on
-    arrays of 256 KiB and more, where it reuses the temporary ``exp``
-    result in place.  Keeping it pins the output bits on the default
-    grid.
-    """
-    return ComplexField(field.grid, np.multiply(phasor, field.amplitudes))
-
-
 def apply_plate(field: ComplexField, plate: TrapezoidPhasePlate, passes: int) -> ComplexField:
-    """Multiply the field by exp(i * passes * phase_profile).
+    """Multiply the field by exp(i * passes * phase_profile), phasor first
+    (as the pulse loop does; see ``cavity._run_batch``).
 
     Energy is unchanged.  See :func:`plate_phasor` for ``passes``.
     """
-    return apply_phasor(field, plate_phasor(plate, field.grid, passes))
+    phasor = plate_phasor(plate, field.grid, passes)
+    return ComplexField(field.grid, np.multiply(phasor, field.amplitudes))
 
 
 def apply_roundtrip_loss(

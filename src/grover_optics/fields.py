@@ -21,7 +21,6 @@ __all__ = [
     "dft_centered",
     "idft_centered",
     "parity_flip",
-    "total_energy",
 ]
 
 
@@ -80,11 +79,6 @@ class ComplexField:
             )
         object.__setattr__(self, "amplitudes", amp)
 
-    @property
-    def intensity(self) -> np.ndarray:
-        """Per-sample intensity |E|^2 (a fresh real array)."""
-        return np.abs(self.amplitudes) ** 2
-
 
 @dataclass(frozen=True)
 class FourierGrid:
@@ -130,7 +124,7 @@ class FourierGrid:
         return Grid1D(self.source.n_samples, self.pitch)
 
 
-def gaussian_input(grid: Grid1D, fwhm: float) -> ComplexField:
+def gaussian_input(grid: Grid1D, fwhm: float) -> np.ndarray:
     """Flat-phase gaussian beam with a given intensity FWHM, energy 1.
 
     Parameters
@@ -143,8 +137,9 @@ def gaussian_input(grid: Grid1D, fwhm: float) -> ComplexField:
 
     Returns
     -------
-    ComplexField
-        Real, non-negative amplitudes normalized so total_energy == 1.
+    np.ndarray
+        complex128 amplitudes, real and non-negative, normalized so that
+        sum(|E|^2) * pitch == 1.
     """
     if not (0 < fwhm < grid.extent / 2):
         raise ConfigurationError(
@@ -154,7 +149,7 @@ def gaussian_input(grid: Grid1D, fwhm: float) -> ComplexField:
     x = grid.coordinates
     amp = np.exp(-2.0 * np.log(2.0) * (x / fwhm) ** 2)
     amp = amp / np.sqrt(np.sum(amp**2) * grid.pitch)
-    return ComplexField(grid, amp.astype(np.complex128))
+    return amp.astype(np.complex128)
 
 
 def _centered_dft(amplitudes: np.ndarray, inverse: bool) -> np.ndarray:
@@ -206,8 +201,3 @@ def _reverse_about_zero(a: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     ``out``, if given, receives the result and must not overlap ``a``.
     """
     return np.concatenate((a[..., :1], a[..., :0:-1]), axis=-1, out=out)
-
-
-def total_energy(field: ComplexField) -> float:
-    """Discrete energy integral: sum of |E|^2 times the grid pitch."""
-    return float(np.sum(field.intensity) * field.grid.pitch)

@@ -1,11 +1,11 @@
 """Discrete amplitude-amplification reference model.
 
-Two interchangeable engines: a reduced two-amplitude recursion that
-tracks the marked and unmarked amplitudes (exact for a uniformly
-prepared register, and happy to take non-integer effective sizes), and
-a brute-force full state vector for cross-checking.  Both accept
-generalized oracle/diffusion phases; at phase pi the diffusion step is
-exactly the inversion about the average.
+A reduced two-amplitude recursion that tracks the marked and unmarked
+amplitudes: exact for a uniformly prepared register, and happy to take
+non-integer effective sizes.  It accepts generalized oracle/diffusion
+phases (Hoyer, PRA 62, 052304 (2000)); at phase pi the diffusion step
+is exactly the inversion about the average.  The tests check it against
+a full state vector written in plain numpy (``tests/oracle.py``).
 
 Phase bookkeeping: one optical cavity roundtrip traverses each plate
 twice, so a cavity run with per-pass plate phase phi corresponds to
@@ -14,7 +14,6 @@ the per-pass phase directly.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -22,9 +21,7 @@ from .errors import ConfigurationError
 
 __all__ = [
     "GroverReducedState",
-    "FullGroverState",
     "reduced_iterate",
-    "full_iterate",
     "success_probability",
     "optimal_iterations",
     "oscillation_period",
@@ -80,58 +77,6 @@ class GroverReducedState:
         return float(self.n_marked * abs(self.amp_marked) ** 2)
 
 
-@dataclass(frozen=True)
-class FullGroverState:
-    """Explicit length-N state vector with a set of marked indices."""
-
-    amplitudes: np.ndarray
-    marked_indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
-        if amps.ndim != 1 or amps.size < 1:
-            raise ConfigurationError("amplitudes must be a non-empty 1-D array")
-        marked = tuple(sorted(set(int(i) for i in self.marked_indices)))
-        if not marked:
-            raise ConfigurationError("at least one index must be marked")
-        if marked[0] < 0 or marked[-1] >= amps.size:
-            raise ConfigurationError(
-                f"marked indices {marked} out of range for {amps.size} items"
-            )
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > _NORM_GUARD:
-            raise ConfigurationError(
-                f"state norm {norm!r} deviates from 1 by more than {_NORM_GUARD}"
-            )
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "marked_indices", marked)
-
-    @classmethod
-    def uniform(cls, n_items: int, marked: int | Sequence[int]) -> "FullGroverState":
-        """Equal superposition over ``n_items``.
-
-        ``marked`` is either a marked-item count (the first ``marked``
-        indices are used; the choice is irrelevant by symmetry) or an
-        explicit sequence of indices.
-        """
-        if n_items < 1:
-            raise ConfigurationError(f"n_items must be >= 1, got {n_items}")
-        if isinstance(marked, (int, np.integer)):
-            indices: tuple[int, ...] = tuple(range(int(marked)))
-        else:
-            indices = tuple(int(i) for i in marked)
-        amps = np.full(n_items, 1.0 / np.sqrt(n_items), dtype=np.complex128)
-        return cls(amps, indices)
-
-    @property
-    def n_items(self) -> int:
-        return int(self.amplitudes.size)
-
-    @property
-    def success_probability(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes[list(self.marked_indices)]) ** 2))
-
-
 def reduced_iterate(
     state: GroverReducedState, phase_oracle: float, phase_diffusion: float
 ) -> GroverReducedState:
@@ -154,16 +99,6 @@ def reduced_iterate(
         complex(mean_term - a),
         complex(mean_term - b),
     )
-
-
-def full_iterate(
-    state: FullGroverState, phase_oracle: float, phase_diffusion: float
-) -> FullGroverState:
-    """Same iteration applied to the explicit state vector."""
-    v = state.amplitudes.copy()
-    v[list(state.marked_indices)] *= np.exp(1j * phase_oracle)
-    mean_term = (1.0 - np.exp(1j * phase_diffusion)) * np.sum(v) / v.size
-    return FullGroverState(mean_term - v, state.marked_indices)
 
 
 def success_probability(k: float, n_items: float, n_marked: float) -> float:

@@ -11,18 +11,13 @@ from grover_optics import (
     LossModel,
     PeakTrace,
     TrapezoidPhasePlate,
-    apply_plate,
-    dft_centered,
-    grover_iterate,
-    idft_centered,
-    parity_flip,
     pulse_train,
     run_search,
     build_config,
     first_maximum,
-    total_energy,
 )
 
+import oracle
 from conftest import PAPER_PLATES, compensated_rows, ideal_cavity, paper_cavity
 
 
@@ -37,54 +32,36 @@ def disabled_cavity(**overrides) -> CavityConfig:
 
 
 class TestHalfPassForward:
-    # The upright forward half pass: oracle once, then the Fourier-plane
-    # chain with the single-pass IAA phasor and half the roundtrip loss.
+    # The first recorded pulse is the upright forward half pass: oracle
+    # once, then the Fourier-plane chain with the single-pass IAA phasor
+    # and half the roundtrip loss.
     def test_flat_plates_reduce_to_the_loss(self):
-        config = disabled_cavity()
-        field = config.input_field()
-        out = cavity._through_fourier_plane(
-            apply_plate(field, config.oracle_plate, 1), config,
-            cavity._iaa_phasor(config, 1), 0.5,
-        )
-        expected = 0.75**0.25 * field.amplitudes
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
+        config = disabled_cavity(n_pulses=1, output_mirror_transmission=1.0)
+        trace = run_search(config)
+        expected = 0.75**0.5 * np.abs(oracle.gaussian(config)) ** 2
+        assert np.max(np.abs(trace.profiles[0] - expected)) < 1e-10 * np.max(expected)
 
     def test_energy_drops_by_half_roundtrip(self):
-        config = paper_cavity(42.0)
-        field = config.input_field()
-        out = cavity._through_fourier_plane(
-            apply_plate(field, config.oracle_plate, 1), config,
-            cavity._iaa_phasor(config, 1), 0.5,
-        )
-        assert total_energy(out) / total_energy(field) == pytest.approx(
-            0.75**0.5, rel=1e-9
-        )
+        config = paper_cavity(42.0, n_pulses=1, output_mirror_transmission=1.0)
+        assert run_search(config).total_energies[0] == pytest.approx(0.75**0.5, rel=1e-9)
 
 
 class TestGroverIterate:
+    # One roundtrip of the pulse loop, seen from pulse to pulse.
     def test_identity_when_plates_and_loss_disabled(self):
-        config = disabled_cavity(loss=LossModel(1.0))
-        field = config.input_field()
-        out = grover_iterate(field, config)
-        assert np.max(np.abs(out.amplitudes - field.amplitudes)) < 1e-10
+        config = disabled_cavity(loss=LossModel(1.0), n_pulses=2)
+        profiles = run_search(config).profiles
+        assert np.max(np.abs(profiles[1] - profiles[0])) < 1e-10 * np.max(profiles[0])
 
     def test_energy_scaling_per_roundtrip(self):
-        config = paper_cavity(42.0)
-        field = config.input_field()
-        out = grover_iterate(field, config)
-        assert total_energy(out) / total_energy(field) == pytest.approx(
-            0.75, rel=1e-9
-        )
+        energies = run_search(paper_cavity(42.0, n_pulses=2)).total_energies
+        assert energies[1] / energies[0] == pytest.approx(0.75, rel=1e-9)
 
     def test_marked_fraction_grows_on_first_iterations(self):
-        config = ideal_cavity(42.0)
-        field = config.input_field()
+        config = ideal_cavity(42.0, n_pulses=5)
         mask = np.abs(config.grid.coordinates - 150e-6) <= 21e-6
-        fractions = []
-        for _ in range(4):
-            fractions.append(float(np.sum(field.intensity[mask]) / np.sum(field.intensity)))
-            field = grover_iterate(field, config)
-        fractions.append(float(np.sum(field.intensity[mask]) / np.sum(field.intensity)))
+        fractions = [np.sum(profile[mask]) / np.sum(profile)
+                     for profile in run_search(config).profiles]
         assert all(a < b for a, b in zip(fractions, fractions[1:]))
 
 
@@ -120,7 +97,7 @@ class TestRunSearch:
             loss=LossModel(1.0), output_mirror_transmission=1.0, n_pulses=3
         )
         trace = run_search(config)
-        reference = config.input_field().intensity
+        reference = np.abs(oracle.gaussian(config)) ** 2
         scale = float(np.max(reference))
         for row in range(3):
             assert np.max(np.abs(trace.profiles[row] - reference)) < 1e-9 * scale
@@ -141,21 +118,11 @@ class TestRunSearch:
         # of amplitude loss.
         config = paper_cavity(42.0, n_pulses=2)
         trace = run_search(config)
-        fgrid = config.fourier_grid
-
-        def iaa_conjugated(field):
-            return idft_centered(
-                apply_plate(dft_centered(field, fgrid), config.iaa_plate, 1), fgrid
-            )
-
-        upright_1 = cavity._through_fourier_plane(
-            apply_plate(config.input_field(), config.oracle_plate, 1), config,
-            cavity._iaa_phasor(config, 1), 0.5,
-        )
-        step = iaa_conjugated(
-            apply_plate(iaa_conjugated(upright_1), config.oracle_plate, 2)
-        )
-        predicted = 0.02 * (0.75**0.5 * np.abs(step.amplitudes)) ** 2
+        once, iaa = oracle.plate_phasors(config)
+        twice = oracle.plate_phasors(config, passes=2)[0]
+        upright_1 = oracle.half_pass(once * oracle.gaussian(config), iaa, 0.75**0.25)
+        step = oracle.half_pass(twice * oracle.half_pass(upright_1, iaa, 1.0), iaa, 1.0)
+        predicted = 0.02 * (0.75**0.5 * np.abs(step)) ** 2
         scale = float(np.max(trace.profiles[1]))
         assert np.max(np.abs(trace.profiles[1] - predicted)) < 1e-10 * scale
 
@@ -166,34 +133,27 @@ class TestRunSearch:
         # upright half pass of the chain.
         config = build_config({"preset": preset, "grid_samples": 4096}).to_cavity_config()
         trace = run_search(config)
-        out = cavity._through_fourier_plane(
-            apply_plate(config.input_field(), config.oracle_plate, 1), config,
-            cavity._iaa_phasor(config, 1), 0.5,
-        )
-        expected = config.output_mirror_transmission * out.intensity
+        once, iaa = oracle.plate_phasors(config)
+        scale = config.loss.roundtrip_energy_factor ** (0.5 / 2.0)
+        out = oracle.half_pass(np.multiply(once, oracle.gaussian(config)), iaa, scale)
+        expected = config.output_mirror_transmission * np.abs(out) ** 2
         assert np.array_equal(trace.profiles[0], expected)
 
     @pytest.mark.parametrize("n_samples", [4096, 16384])
     @pytest.mark.parametrize("preset", ["paper-42um", "ideal"])
     def test_every_pulse_matches_the_field_chain_bit_for_bit(self, preset, n_samples):
-        # The pulse loop of run_search written with the checked
-        # ComplexField chain.  Both sizes matter: from 16384 samples on,
-        # numpy reuses temporaries in place, which changes a multiply's
-        # operand order and so its last bit.
+        # The pulse loop of run_search written as the centered field
+        # chain in plain numpy (tests/oracle.py).  Both sizes matter: from
+        # 16384 samples on, numpy reuses temporaries in place, which
+        # changes a multiply's operand order and so its last bit.
         config = build_config({"preset": preset, "grid_samples": n_samples}).to_cavity_config()
         n = config.grid.n_samples
         loss_factor = config.loss.roundtrip_energy_factor
         coords = config.grid.coordinates
         overlap = elements._window_overlap(config.grid, *config.slit_window)
-        oracle = elements.plate_phasor(config.oracle_plate, config.grid, 1)
-        iaa = cavity._iaa_phasor(config, 1)
-        circulating = config.input_field()
         rows = []
-        for count in np.arange(1, config.n_pulses + 1) - 0.5:
-            upright = cavity._through_fourier_plane(
-                elements.apply_phasor(circulating, oracle), config, iaa, 0.5
-            )
-            intensity = config.output_mirror_transmission * upright.intensity
+        counts = np.arange(1, config.n_pulses + 1) - 0.5
+        for count, intensity in zip(counts, oracle.profiles(config)):
             idx = int(np.argmax(intensity))
             rows.append((
                 intensity,
@@ -204,8 +164,6 @@ class TestRunSearch:
                 np.sum(intensity * overlap),
                 idx in (0, n - 1),
             ))
-            returned = cavity._through_fourier_plane(parity_flip(upright), config, iaa, 0.5)
-            circulating = elements.apply_phasor(parity_flip(returned), oracle)
 
         trace = run_search(config)
         names = ("profiles", "peak_positions", "peak_values", "compensated_peak_values",
@@ -217,8 +175,8 @@ class TestRunSearch:
         def forbidden(*args, **kwargs):
             raise AssertionError("run_search called the ComplexField chain")
 
-        for name in ("dft_centered", "idft_centered", "parity_flip",
-                     "apply_roundtrip_loss", "apply_phasor", "ComplexField"):
+        for name in ("dft_centered", "idft_centered", "parity_flip", "apply_plate",
+                     "apply_roundtrip_loss"):
             monkeypatch.setattr(cavity, name, forbidden)
         trace = run_search(paper_cavity(42.0, n_pulses=3, grid=Grid1D(4096, 2e-6)))
         assert trace.n_pulses == 3
@@ -309,13 +267,14 @@ class TestReducedModelAgreement:
         theta = np.arcsin(np.sqrt(flat / fwhm))
         k_max = int(np.pi / (4 * theta)) + 2
         mask = np.abs(config.grid.coordinates) <= flat / 2
-        field = config.input_field()
+        field = oracle.gaussian(config)
         worst = 0.0
         for k in range(k_max + 1):
-            fraction = float(np.sum(field.intensity[mask]) / np.sum(field.intensity))
+            intensity = np.abs(field) ** 2
+            fraction = float(np.sum(intensity[mask]) / np.sum(intensity))
             predicted = np.sin((2 * k + 1) * theta) ** 2
             worst = max(worst, abs(fraction - predicted))
-            field = grover_iterate(field, config)
+            field = oracle.roundtrip(field, config)
         assert worst < 0.15
 
 

@@ -406,6 +406,22 @@ class TestSweepCommand:
         assert (out / "summary.json").exists()
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("mode, parameter, values", [
+        ("reference", "reference.n_items", [16.0, 32.0]),
+        ("pulse-train", "slit_width_um", [55.0, 80.0]),
+    ])
+    def test_sweep_headline_counts_the_points(self, tmp_path, capsys, mode, parameter,
+                                              values):
+        # The aggregate summary carries the mode too; the headline is the
+        # sweep's, not a single run's of that mode.
+        cfg = write_config(tmp_path, preset="paper-42um", mode=mode, n_pulses=4,
+                           sweep=[{"parameter": parameter, "values": values}],
+                           **SMALL_GRID)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "swept 2 points" in capsys.readouterr().out
+        assert (out / "sweep.csv").stat().st_size > 0
+
 
 def test_module_entry_point_smoke(tmp_path):
     cfg = tmp_path / "config.json"

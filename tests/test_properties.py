@@ -3,16 +3,18 @@
 ``run_search`` keeps its field in FFT-native (``ifftshift``ed) order and
 relies on four facts checked here for every power of two from 16 to
 4096 samples: the parity flip has the same formula in both orders, two
-unitary FFTs are that flip, one native half pass is the checked
-``ComplexField`` chain, bit for bit, and a batch of rows is that many
+unitary FFTs are that flip, one native half pass is the centered chain
+of ``tests/oracle.py``, bit for bit, and a batch of rows is that many
 one-row runs, bit for bit.  Below 16384 samples numpy computes some
 operations in different temporaries than above, so these sizes are
 checked on their own.  The loop's slit energies are the sums of the
 recorded profiles times the slit overlap, bit for bit, wherever the slit
 sits.  Two more facts follow: the centered transform
 preserves energy, and ``first_maximum`` ignores a uniform scale of the
-peak values.  The file closes with the table writer's cell formatter,
-which must spell every float64 exactly as ``'%.9g' % v`` does.
+peak values, and the two-amplitude model follows the full state vector
+for any register, marked count and phases.  The file closes with the
+table writer's cell formatter, which must spell every float64 exactly
+as ``'%.9g' % v`` does.
 """
 
 from fractions import Fraction
@@ -29,6 +31,7 @@ from grover_optics import (  # noqa: E402
     ComplexField,
     FourierGrid,
     Grid1D,
+    GroverReducedState,
     LossModel,
     MeasurementError,
     PeakTrace,
@@ -36,12 +39,14 @@ from grover_optics import (  # noqa: E402
     cavity,
     dft_centered,
     first_maximum,
-    parity_flip,
+    reduced_iterate,
 )
-from grover_optics.cavity import _native_half_pass, _through_fourier_plane  # noqa: E402
+from grover_optics.cavity import _native_half_pass  # noqa: E402
 from grover_optics.elements import _window_overlap  # noqa: E402
 from grover_optics.fields import _reverse_about_zero  # noqa: E402
 from grover_optics.runner import _FAST_MIN_CELLS, _CellFormatter  # noqa: E402
+
+import oracle  # noqa: E402
 
 sizes = st.integers(min_value=4, max_value=12).map(lambda k: 2**k)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -56,8 +61,7 @@ def random_field(n: int, seed: int) -> np.ndarray:
 @given(n=sizes, seed=seeds)
 def test_native_flip_is_the_centered_parity_flip(n, seed):
     a = random_field(n, seed)
-    centered = ComplexField(Grid1D(n, 1.0), np.fft.fftshift(a))
-    expected = np.fft.ifftshift(parity_flip(centered).amplitudes)
+    expected = np.fft.ifftshift(oracle.flip(np.fft.fftshift(a)))
     assert np.array_equal(_reverse_about_zero(a), expected)
 
 
@@ -72,17 +76,14 @@ def test_two_unitary_ffts_are_the_flip(n, seed):
 @settings(deadline=None)
 @given(n=sizes, seed=seeds, factor=st.floats(min_value=0.05, max_value=1.0))
 def test_native_half_pass_is_the_field_chain_bit_for_bit(n, seed, factor):
-    # Plates that fit any of these grids; the IAA mask itself is random.
-    plate = TrapezoidPhasePlate(center=0.0, flat_width=1e-6, ramp_width=0.0, phase_depth=0.0)
-    grid = Grid1D(n, 2e-6)
-    config = CavityConfig(oracle_plate=plate, iaa_plate=plate, input_fwhm=grid.extent / 8,
-                          loss=LossModel(factor), grid=grid)
+    # The IAA mask is random; the chain is the oracle's, in centered order.
     a = random_field(n, seed)
     iaa = np.exp(1j * np.random.default_rng(seed + 1).uniform(-np.pi, np.pi, n))
-    chain = _through_fourier_plane(ComplexField(grid, a), config, iaa, 0.5)
-    native = _native_half_pass(np.fft.ifftshift(a), np.fft.ifftshift(iaa),
-                               factor ** (0.5 / 2.0), np.empty(n, dtype=complex))
-    assert np.array_equal(native, np.fft.ifftshift(chain.amplitudes))
+    scale = factor ** (0.5 / 2.0)
+    chain = oracle.half_pass(a, iaa, scale)
+    native = _native_half_pass(np.fft.ifftshift(a), np.fft.ifftshift(iaa), scale,
+                               np.empty(n, dtype=complex))
+    assert np.array_equal(native, np.fft.ifftshift(chain))
 
 
 TRACE_FIELDS = ("iteration_counts", "profiles", "peak_positions", "peak_values",
@@ -182,6 +183,26 @@ def test_centered_transform_preserves_energy(n, seed):
     out = dft_centered(ComplexField(grid, a), FourierGrid(grid, 532e-9, 0.4))
     before, after = np.sum(np.abs(a) ** 2), np.sum(np.abs(out.amplitudes) ** 2)
     assert abs(after - before) <= 1e-12 * before
+
+
+registers = st.integers(min_value=2, max_value=512).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=n)))
+phases = st.floats(min_value=-np.pi, max_value=np.pi)
+
+
+@settings(deadline=None)
+@given(register=registers, phase_oracle=phases, phase_diffusion=phases)
+def test_reduced_model_follows_the_full_state(register, phase_oracle, phase_diffusion):
+    # The fixed cavity-like case (N = 1024, m = 7, 50 steps) is
+    # test_reference.py's test_reduced_matches_full_for_generalized_phases.
+    n_items, n_marked = register
+    reduced = GroverReducedState.uniform(n_items, n_marked)
+    full = oracle.uniform(n_items)
+    for _ in range(20):
+        reduced = reduced_iterate(reduced, phase_oracle, phase_diffusion)
+        full = oracle.grover_step(full, slice(n_marked), phase_oracle, phase_diffusion)
+        assert np.max(np.abs(full[:n_marked] - reduced.amp_marked)) <= 1e-12
+        assert np.max(np.abs(full[n_marked:] - reduced.amp_unmarked), initial=0.0) <= 1e-12
 
 
 @given(values=st.lists(st.integers(min_value=1, max_value=1000), min_size=3,

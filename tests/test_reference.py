@@ -3,14 +3,14 @@ import pytest
 
 from grover_optics import (
     ConfigurationError,
-    FullGroverState,
     GroverReducedState,
-    full_iterate,
     optimal_iterations,
     oscillation_period,
     reduced_iterate,
     success_probability,
 )
+
+import oracle
 
 
 def run_reduced(n_items, n_marked, k, phase_oracle, phase_diffusion):
@@ -21,10 +21,16 @@ def run_reduced(n_items, n_marked, k, phase_oracle, phase_diffusion):
 
 
 def run_full(n_items, n_marked, k, phase_oracle, phase_diffusion):
-    state = FullGroverState.uniform(n_items, n_marked)
+    """The full state vector after ``k`` iterations; the first
+    ``n_marked`` items are the marked ones."""
+    v = oracle.uniform(n_items)
     for _ in range(k):
-        state = full_iterate(state, phase_oracle, phase_diffusion)
-    return state
+        v = oracle.grover_step(v, slice(n_marked), phase_oracle, phase_diffusion)
+    return v
+
+
+def marked_probability(v, marked):
+    return float(np.sum(np.abs(v[marked]) ** 2))
 
 
 class TestStates:
@@ -33,12 +39,6 @@ class TestStates:
         assert state.amp_marked == pytest.approx(1 / np.sqrt(32))
         assert state.amp_unmarked == state.amp_marked
         assert state.success_probability == pytest.approx(1 / 32)
-
-    def test_uniform_full_state(self):
-        state = FullGroverState.uniform(32, 3)
-        assert state.n_items == 32
-        assert state.marked_indices == (0, 1, 2)
-        assert state.success_probability == pytest.approx(3 / 32)
 
     def test_uniform_accepts_fractional_sizes(self):
         state = GroverReducedState.uniform(31.67, 1.0)
@@ -51,22 +51,12 @@ class TestStates:
     def test_unnormalized_states_rejected(self):
         with pytest.raises(ConfigurationError, match="norm"):
             GroverReducedState(4, 1, 1.0 + 0j, 1.0 + 0j)
-        with pytest.raises(ConfigurationError, match="norm"):
-            FullGroverState(np.ones(4, dtype=complex), (0,))
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ConfigurationError):
             GroverReducedState.uniform(0, 1)
         with pytest.raises(ConfigurationError):
             GroverReducedState.uniform(8, 9)
-        with pytest.raises(ConfigurationError):
-            FullGroverState.uniform(8, [8])
-        with pytest.raises(ConfigurationError):
-            FullGroverState.uniform(8, [])
-
-    def test_marked_indices_deduplicated_and_sorted(self):
-        state = FullGroverState.uniform(8, [5, 2, 5, 2])
-        assert state.marked_indices == (2, 5)
 
 
 class TestIterates:
@@ -76,45 +66,40 @@ class TestIterates:
         reduced = run_reduced(4, 1, 1, np.pi, np.pi)
         assert reduced.success_probability == pytest.approx(1.0, abs=1e-12)
         full = run_full(4, 1, 1, np.pi, np.pi)
-        assert full.success_probability == pytest.approx(1.0, abs=1e-12)
+        assert marked_probability(full, slice(1)) == pytest.approx(1.0, abs=1e-12)
         assert success_probability(1, 4, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_oracle_phase_only_redistributes_global_phase(self):
-        state = FullGroverState.uniform(16, 2)
-        stepped = full_iterate(state, 0.0, np.pi)
-        assert np.allclose(
-            np.abs(stepped.amplitudes), np.abs(state.amplitudes), atol=1e-13
-        )
+        state = oracle.uniform(16)
+        stepped = oracle.grover_step(state, slice(2), 0.0, np.pi)
+        assert np.allclose(np.abs(stepped), np.abs(state), atol=1e-13)
 
     def test_reduced_matches_full_for_generalized_phases(self):
         # mirror of a cavity run with per-pass phase -1.1 on both plates
         phase = 2.0 * -1.1
         reduced = GroverReducedState.uniform(1024, 7)
-        full = FullGroverState.uniform(1024, 7)
+        full = oracle.uniform(1024)
         for _ in range(50):
             reduced = reduced_iterate(reduced, phase, phase)
-            full = full_iterate(full, phase, phase)
+            full = oracle.grover_step(full, slice(7), phase, phase)
             assert reduced.success_probability == pytest.approx(
-                full.success_probability, abs=1e-12
+                marked_probability(full, slice(7)), abs=1e-12
             )
-        marked = full.amplitudes[list(full.marked_indices)]
-        assert np.allclose(marked, reduced.amp_marked, atol=1e-12)
+        assert np.allclose(full[:7], reduced.amp_marked, atol=1e-12)
 
     def test_unmarked_amplitudes_stay_pairwise_equal(self):
-        state = FullGroverState.uniform(64, [10, 40])
+        state = oracle.uniform(64)
         for _ in range(20):
-            state = full_iterate(state, 2.2, -0.7)
-        unmarked = np.delete(state.amplitudes, list(state.marked_indices))
+            state = oracle.grover_step(state, [10, 40], 2.2, -0.7)
+        unmarked = np.delete(state, [10, 40])
         assert np.max(np.abs(unmarked - unmarked[0])) < 1e-13
 
     @pytest.mark.parametrize(
         "phases", [(np.pi, np.pi), (-2.2, -2.2), (1.3, -0.4)]
     )
     def test_iteration_is_unitary(self, phases):
-        state = FullGroverState.uniform(128, 5)
-        for _ in range(100):
-            state = full_iterate(state, *phases)
-        assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
+        state = run_full(128, 5, 100, *phases)
+        assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_form_matches_full_simulation(self, rng):
         for _ in range(30):
@@ -122,7 +107,7 @@ class TestIterates:
             n_marked = int(rng.integers(1, max(2, n_items // 4)))
             k = int(rng.integers(0, 64))
             simulated = run_full(n_items, n_marked, k, np.pi, np.pi)
-            assert simulated.success_probability == pytest.approx(
+            assert marked_probability(simulated, slice(n_marked)) == pytest.approx(
                 success_probability(k, n_items, n_marked), abs=1e-10
             )
 
@@ -155,12 +140,8 @@ class TestScalings:
     def test_oscillation_period_matches_probability_cycle(self):
         # distance between the first two maxima of the simulated
         # success curve for N/m = 100
-        state = FullGroverState.uniform(100, 1)
-        probabilities = [state.success_probability]
-        for _ in range(40):
-            state = full_iterate(state, np.pi, np.pi)
-            probabilities.append(state.success_probability)
-        p = np.array(probabilities)
+        p = np.array([marked_probability(run_full(100, 1, k, np.pi, np.pi), slice(1))
+                      for k in range(41)])
         maxima = [
             i
             for i in range(1, p.size - 1)
