@@ -219,13 +219,17 @@ def build_config(raw: dict) -> ExperimentConfig:
 
 def read_raw_config(path: str | Path) -> dict:
     """Parse a JSON config file to a raw mapping, without validating."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ConfigurationError(
             f"{path}: parse error at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(
+            f"{path}: not UTF-8 at byte {err.start}: {err.reason}") from err
+    except RecursionError as err:
+        raise ConfigurationError(f"{path}: JSON nested too deeply to parse") from err
     if not isinstance(raw, dict):
         raise ConfigurationError(
             f"{path}: config root must be an object, got {type(raw).__name__}"

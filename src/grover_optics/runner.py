@@ -14,8 +14,7 @@ scaled to a 9-digit integer with a table of correctly rounded powers of
 ten, and the text is assembled from lookup tables.  Every value that
 step cannot prove exact -- nan, +-inf, +-0, magnitudes outside
 [1e-290, 1e290), and values whose scaled digits lie within 1e-6 of a
-rounding tie -- is formatted by ``'%.9g' % value`` itself, and so is
-every value of a table too small for the array steps to pay off.
+rounding tie -- is formatted by ``'%.9g' % value`` itself.
 """
 
 import itertools
@@ -66,86 +65,58 @@ def _round9(value: float) -> float:
 #    the sign, a leading '0.' and zeros, the digits, the point and the
 #    'e+XX' suffix left-aligned in a 16-byte cell padded with NULs.
 #
-# Every cell step 2 cannot decide -- nan, +-inf, +-0, |v| outside the
-# range, and near-ties -- is formatted by ``'%.9g' % v`` itself, as is
-# every cell of a chunk shorter than ``_FAST_MIN_CELLS``.
+# Cells step 2 cannot decide (nan, +-inf, +-0, |v| outside the range,
+# near-ties) are formatted by ``'%.9g' % v`` itself.
 _CELL_BYTES = 16  # longest '%.9g' text: '-1.23456789e-308'
 _TIE_MARGIN = 1e-6
 _LOW, _HIGH = 1e-290, 1e290
 _EXP_MIN, _EXP_MAX = -308, 308  # range of the exponent-indexed tables
 _EXPONENTS = np.arange(_EXP_MIN, _EXP_MAX + 1)
 
-# 10**k for k in [-308, 308]; the string-to-float cast, like float(),
-# rounds correctly (tests/test_runner.py checks every entry).
-_POW10 = np.strings.add("1e", _EXPONENTS.astype(str)).astype(np.float64)
-
-
-def _ascii_words(codes: np.ndarray) -> np.ndarray:
-    """Rows of 4 character codes as little-endian uint32 words."""
-    return np.ascontiguousarray(codes, dtype=np.uint8).view("<u4")[:, 0]
-
+# 10**k for k in [-308, 308]; float() of decimal text rounds correctly
+# (tests/test_runner.py checks every entry).
+_POW10 = np.array([float(f"1e{k}") for k in _EXPONENTS.tolist()])
 
 # The digits of 0..9999 are the index tuples of a (10, 10, 10, 10) array.
 _FOUR_DIGITS = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T
-_DIGITS4 = _ascii_words(_FOUR_DIGITS + 48)
+_DIGITS4 = np.ascontiguousarray(_FOUR_DIGITS + 48).view("<u4")[:, 0]
 _TRAILING_ZEROS4 = np.logical_and.accumulate(_FOUR_DIGITS[:, ::-1] == 0, axis=1).sum(
     axis=1, dtype=np.uint8)
 
-# Per-cell source bytes, one uint32 word each, that templates copy from:
+# Per-cell source bytes, five uint32 words, that templates copy from:
 #   0 NUL  1 '-'  2 '0'  3 '.' | 4 'e'  5 d1  6-7 NUL | 8 exponent sign,
 #   9-11 exponent digits | 12-15 d2..d5 | 16-19 d6..d9
 _SOURCE_WORDS = 5
-_CONST_WORD = _ascii_words(np.frombuffer(b"\0-0.", np.uint8)[None])[0]
-_exp_abs = np.abs(_EXPONENTS)
-_EXPONENT_WORD = _ascii_words(np.stack([
-    np.where(_EXPONENTS < 0, 45, 43),  # '-' or '+'
-    48 + _exp_abs // 100, 48 + _exp_abs // 10 % 10, 48 + _exp_abs % 10,
-], axis=1))
+_SOURCE_BYTES = "\0-0.e1\0\0+@@@23456789"  # those bytes for digits 123456789
+_CONST_WORD = np.array(b"\0-0.", dtype="S4").view("<u4")
+_EXPONENT_WORD = np.array([f"{k:+04d}" for k in _EXPONENTS.tolist()], "S4").view("<u4")
 
 # Layouts: 0..12 fixed notation with exponent -4..8, 13 scientific
 # with a 2-digit exponent, 14 with a 3-digit one.  A template key is
 # (layout, digits kept 1..9, negative) -> layout * 18 + (kept - 1) * 2 + neg.
 _LAYOUT_KEY = 18 * np.where(
     (_EXPONENTS >= -4) & (_EXPONENTS <= 8), _EXPONENTS + 4,
-    np.where(_exp_abs < 100, 13, 14))
+    np.where(np.abs(_EXPONENTS) < 100, 13, 14))
 
 
 def _templates() -> np.ndarray:
     """Source byte index for each (key, cell byte); 0 (NUL) pads the cell.
 
-    A key's text is the sequence sign, '0', '.', three zeros, d1, '.',
-    d2, '.', ..., d8, '.', d9, 'e', exponent sign, three exponent
-    digits, less the entries its layout omits.
-    """
-    layout = np.arange(15)[:, None, None, None]
-    kept = np.arange(1, 10)[None, :, None, None]
-    neg = np.arange(2)[None, None, :, None]
-    fixed, sci, exponent = layout <= 12, layout > 12, layout - 4
-    point_after = np.where(fixed, exponent + 1, 1)  # digits before an inner point
-    k = np.arange(1, 10)
-    shape = (15, 9, 2)
-    body = np.empty(shape + (17,), dtype=bool)
-    body[..., 0::2] = (k <= kept) | (fixed & (k <= point_after))
-    body[..., 1::2] = (k[:-1] == point_after) & (k[:-1] < kept)
-    lead = fixed & (exponent < 0)  # '0.' and up to three zeros
-    flags = [neg == 1, lead, lead, lead & (exponent <= -1 - np.arange(1, 4)), body,
-             sci, sci, sci & (layout == 14), sci, sci]
-    present = np.concatenate(
-        [np.broadcast_to(flag, shape + flag.shape[-1:]) for flag in flags], axis=-1
-    ).reshape(-1, 28)
-    sources = np.array([1, 2, 3, 2, 2, 2, 5, 3, 12, 3, 13, 3, 14, 3, 15, 3, 16, 3,
-                        17, 3, 18, 3, 19, 4, 8, 9, 10, 11])
-    order = np.argsort(~present, axis=1, kind="stable")[:, :_CELL_BYTES]
-    index = np.where(np.take_along_axis(present, order, axis=1), sources[order], 0)
-    return index.astype(np.int32)
+    A key's row is read off ``'%.9g'`` of a sample value of its layout
+    (exponent -4..8, 10 or 100), sign and kept digits of 1.23456789."""
+    templates = np.zeros((15 * 18, _CELL_BYTES), dtype=np.int32)
+    keys = itertools.product([*range(-4, 9), 10, 100], range(1, 10), ("", "-"))
+    for row, (exponent, kept, sign) in zip(templates, keys):
+        text = "%.9g" % float(f"{sign}1.{'23456789'[:kept - 1]}e{exponent}")
+        mantissa, _, power = text.partition("e")
+        sources = [_SOURCE_BYTES.index(char) for char in mantissa]
+        if power:  # 'e', the exponent's sign and its last len(power) - 1 digits
+            sources += [4, 8, *range(13 - len(power), 12)]
+        row[:len(sources)] = sources
+    return templates
 
 
 _TEMPLATES = _templates()
-
-# The fast path costs about 80 us a chunk in numpy call overhead and
-# '%' about 0.6 us a value, so chunks shorter than this (the few-row
-# tables: peaks, train, reference and most sweeps) are spelled by '%'.
-_FAST_MIN_CELLS = 128
 
 
 class _CellFormatter:
@@ -167,11 +138,8 @@ class _CellFormatter:
         text of each value, left-aligned."""
         flat, cells = values.reshape(-1), out.reshape(-1, _CELL_BYTES)
         for start in range(0, flat.size, self.chunk):
-            stop = min(start + self.chunk, flat.size)
-            if stop - start < _FAST_MIN_CELLS:
-                cells[start:stop] = _percent_cells(flat[start:stop])
-            else:
-                self._format(flat[start:stop], cells[start:stop])
+            stop = start + self.chunk
+            self._format(flat[start:stop], cells[start:stop])
 
     def _format(self, v: np.ndarray, cells: np.ndarray) -> None:
         n = v.size
@@ -211,14 +179,8 @@ class _CellFormatter:
         index += self.offsets[:n]
         np.take(source.reshape(-1).view(np.uint8), index, out=cells, mode="clip")
         fallback = np.flatnonzero(~exact)
-        if fallback.size:
-            cells[fallback] = _percent_cells(v[fallback])
-
-
-def _percent_cells(values: np.ndarray) -> np.ndarray:
-    """``'%.9g' % v`` of each value, spelled by Python, as 16-byte cells."""
-    text = ["%.9g" % value for value in values.tolist()]
-    return np.array(text, dtype="S16").view(np.uint8).reshape(-1, _CELL_BYTES)
+        text = ["%.9g" % value for value in v[fallback].tolist()]
+        cells[fallback] = np.array(text, "S16").view(np.uint8).reshape(-1, _CELL_BYTES)
 
 
 # Rows per written block.  A block of profiles.csv holds 4 cells of 17
@@ -299,10 +261,7 @@ def _formula_or_null(name: str, warnings: list[str], formula, *args) -> float | 
         return None
 
 
-def _search_summary(cfg: ExperimentConfig, trace) -> dict:
-    peaks = analysis.PeakTrace.from_search_trace(
-        trace, compensated=cfg.compensate_loss
-    )
+def _search_summary(cfg: ExperimentConfig, trace, peaks: analysis.PeakTrace) -> dict:
     warnings: list[str] = []
     flagged = np.flatnonzero(trace.peak_at_edge)
     if flagged.size:
@@ -366,16 +325,14 @@ def _write_search_outputs(cfg: ExperimentConfig, trace, out_dir: Path) -> dict:
             _profile_columns(trace),
         )
 
-    peak_values = (
-        trace.compensated_peak_values if cfg.compensate_loss else trace.peak_values
-    )
+    peaks = analysis.PeakTrace.from_search_trace(trace, compensated=cfg.compensate_loss)
     _write_table(
         out_dir / "peaks.csv",
         "iteration_count,peak_position_m,peak_value",
-        [trace.iteration_counts, trace.peak_positions, peak_values],
+        [peaks.iteration_counts, peaks.peak_positions, peaks.peak_values],
     )
 
-    summary = _search_summary(cfg, trace)
+    summary = _search_summary(cfg, trace, peaks)
     _write_summary(out_dir / "summary.json", summary)
     return summary
 
@@ -400,6 +357,14 @@ def _write_train_outputs(cfg: ExperimentConfig, trace, out_dir: Path) -> dict:
         "consecutive_energy_ratios": ratios,
         "config": asdict(cfg),
     }
+    # On the beam a slit collects about 1e-1 of a pulse; off it, light
+    # scattered by the plates' ramps, 1e-4 and less.
+    off_beam = np.flatnonzero(trace.slit_energies < 1e-3 * trace.total_energies)
+    if off_beam.size:
+        summary["warnings"] = [
+            "slit collects under 1e-3 of the pulse energy for pulse rows "
+            f"{off_beam.tolist()}; it may be off the beam"
+        ]
     _write_summary(out_dir / "summary.json", summary)
     return summary
 

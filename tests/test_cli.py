@@ -109,10 +109,15 @@ class TestRunCommand:
 
 
 class TestErrorPaths:
-    def test_malformed_json_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("content", [b'{"n_pulses": ', b"\xff", b"[" * 100000],
+                             ids=["truncated", "not-utf8", "nested-too-deep"])
+    def test_malformed_json_exits_2(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"n_pulses": ')
-        assert main(["run", "--config", str(bad)]) == 2
+        bad.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_field_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, wavelength_nm=-5.0)
@@ -212,13 +217,29 @@ class TestPulseTrainCommand:
             raise ValueError(f"summary.json holds the non-JSON token {token}")
 
         trace = SimpleNamespace(iteration_counts=np.array([0.5, 1.5, 2.5]),
-                                slit_energies=np.array([0.0, 2e-4, 1e-4]))
+                                slit_energies=np.array([0.0, 2e-4, 1e-4]),
+                                total_energies=np.array([1e-3, 1e-3, 1e-3]))
         monkeypatch.setattr(runner, "run_search", lambda cavity, record_profiles: trace)
         cfg = write_config(tmp_path, preset="paper-42um", **SMALL_GRID)
         out = tmp_path / "out"
         assert main(["pulse-train", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
         assert summary["consecutive_energy_ratios"] == [None, 0.5]
+
+    def test_slit_off_the_beam_is_flagged(self, tmp_path):
+        # At +3500 um the slit sees only light the plates' ramps scatter,
+        # under 1e-4 of every pulse; at the default slit, over 9e-2.
+        out = {}
+        for name, slit in (("on", {}), ("off", {"slit_center_um": 3500.0})):
+            cfg = write_config(tmp_path, f"{name}.json", preset="paper-42um",
+                               **SMALL_GRID, **slit)
+            out[name] = tmp_path / name
+            assert main(["pulse-train", "--config", str(cfg), "--out", str(out[name])]) == 0
+        assert "warnings" not in read_summary(out["on"])
+        assert read_summary(out["off"])["warnings"] == [
+            "slit collects under 1e-3 of the pulse energy for pulse rows "
+            f"{list(range(12))}; it may be off the beam"
+        ]
 
 
 class TestReferenceCommand:

@@ -44,7 +44,7 @@ from grover_optics import (  # noqa: E402
 from grover_optics.cavity import _native_half_pass  # noqa: E402
 from grover_optics.elements import _window_overlap  # noqa: E402
 from grover_optics.fields import _reverse_about_zero  # noqa: E402
-from grover_optics.runner import _FAST_MIN_CELLS, _CellFormatter  # noqa: E402
+from grover_optics.runner import _CellFormatter  # noqa: E402
 
 import oracle  # noqa: E402
 
@@ -222,16 +222,13 @@ def test_first_maximum_ignores_a_uniform_scale(values, factor):
 
 
 def formatted(values: np.ndarray) -> list[str]:
-    """The writer's cell text for each value, through its fast path: the
-    values are repeated to fill one chunk long enough to take it."""
-    values = np.resize(values, max(values.size, _FAST_MIN_CELLS))
+    """The writer's cell text for each value."""
     cells = np.empty(values.shape + (16,), dtype=np.uint8)
     _CellFormatter(values.size)(values, cells)
     return [bytes(cell).rstrip(b"\0").decode() for cell in cells]
 
 
 def percent(values: np.ndarray) -> list[str]:
-    values = np.resize(values, max(values.size, _FAST_MIN_CELLS))
     return ["%.9g" % value for value in values.tolist()]
 
 

@@ -14,7 +14,6 @@ from grover_optics.config import build_config
 from grover_optics.fields import Grid1D
 from grover_optics.runner import (
     _EXPONENTS,
-    _FAST_MIN_CELLS,
     _POW10,
     _CellFormatter,
     _batch_chunks,
@@ -132,15 +131,29 @@ def test_powers_of_ten_are_correctly_rounded():
 def test_cells_are_the_percent_format(rng):
     values = rng.standard_normal((64, 3)) * 10.0 ** rng.integers(-320, 300, (64, 3))
     values.flat[:len(EDGE_VALUES)] = EDGE_VALUES
-    # One chunk takes the fast path; the short last one is spelled by '%'.
-    cells = format_cells(values, chunk=_FAST_MIN_CELLS + 5)
+    # A full chunk, then a short last one.
+    cells = format_cells(values, chunk=133)
     got = [bytes(cell).rstrip(b"\0").decode() for cell in cells.reshape(-1, 16)]
     assert got == ["%.9g" % value for value in values.ravel().tolist()]
 
 
+@pytest.mark.parametrize("kept", range(1, 10))
+def test_every_template_key_is_the_percent_format(kept):
+    # Every exponent and sign at this count of kept digits, with the
+    # templates' own sample digits and with others, zeros among them.
+    significands = ["123456789"[:kept], "987654321"[:kept], "100000000"[:kept - 1] + "1"]
+    values = np.array([float(f"{sign}{digits[0]}.{digits[1:]}e{exponent}")
+                       for exponent in _EXPONENTS.tolist()
+                       for digits in significands
+                       for sign in ("", "-")])
+    cells = format_cells(values, chunk=values.size)
+    got = [bytes(cell).rstrip(b"\0").decode() for cell in cells]
+    assert got == ["%.9g" % value for value in values.tolist()]
+
+
 def test_writing_special_values_raises_no_warning(tmp_path):
-    # Long enough for the fast path, which must keep these values quiet.
-    column = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310, 1.0] * _FAST_MIN_CELLS
+    # The array steps must keep these values quiet.
+    column = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310, 1.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _write_table(tmp_path / "special.csv", "v,w", [column, column[::-1]])
