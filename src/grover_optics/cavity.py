@@ -44,9 +44,14 @@ is the batch of one.
 
 Each pulse is measured in the loop, row by row, on its intensity: the
 brightest sample, the lobe center, the total energy and the energy
-through the detection slit.  The ``(B, P, n)`` profiles are kept only
-when the caller asks for them (search mode, which writes them); the
-pulse train reads its slit energies off the trace.
+through the detection slit.  The loop then hands the pulse's ``(B, n)``
+intensities to the caller's ``on_pulse``, if any, and overwrites them
+with the next pulse: the CLI's search mode writes ``profiles.csv`` from
+that hand-off on a second thread while the loop runs (see
+``runner``), so no ``(B, P, n)`` array is built.  ``record_profiles``
+is one more consumer of the same hand-off, which keeps every pulse in
+the trace's ``profiles`` for library callers and tests; the pulse train
+reads its slit energies off the trace.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -245,7 +250,17 @@ def _batch_key(config: CavityConfig) -> tuple:
             config.output_mirror_transmission, config.n_pulses, config.iaa_plate)
 
 
-def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[SearchTrace]:
+def _pulse_counts(config: CavityConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Pulse j's iteration count j - 0.5 and loss compensation factor
+    loss^-(j - 0.5), for j = 1..``n_pulses``."""
+    counts = np.arange(1, config.n_pulses + 1) - 0.5
+    loss_factor = config.loss.roundtrip_energy_factor
+    return counts, np.array([loss_factor ** (-count) for count in counts])
+
+
+def _run_batch(
+    configs: list[CavityConfig], record_profiles: bool, on_pulse=None
+) -> list[SearchTrace]:
     """Run compatible cavities as the rows of one array; one trace each.
 
     Every config must have the same ``_batch_key``.  The circulating
@@ -253,11 +268,15 @@ def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[Searc
     the IAA phasor one ``(n,)`` array shared by every row, and each half
     pass overwrites the same preallocated buffers.  All arithmetic is
     row-wise, so each row's trace is bit-identical to running its config
-    alone.  Profiles are kept only if ``record_profiles``; otherwise the
-    traces' ``profiles`` are ``None``.  A row's slit energy is
-    ``np.sum(line * overlap)`` of its intensity line and slit overlap,
-    with the product written into one reused buffer: the operands and
-    the full-length sum of a recorded profile, so the same bits.
+    alone.  After measuring pulse ``row`` the loop calls
+    ``on_pulse(row, intensities)`` with the ``(B, n)`` centered
+    intensities, a buffer the next pulse overwrites.  ``record_profiles``
+    is the consumer that copies them into the traces' ``profiles``, so
+    it excludes ``on_pulse``; without it the ``profiles`` are ``None``.
+    A row's slit energy is ``np.sum(line * overlap)`` of its intensity
+    line and slit overlap, with the product written into one reused
+    buffer: the operands and the full-length sum of a recorded profile,
+    so the same bits.
     """
     first = configs[0]
     if any(_batch_key(config) != _batch_key(first) for config in configs):
@@ -265,16 +284,22 @@ def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[Searc
             "batched cavities may differ only in slit, oracle plate and input FWHM"
         )
     rows, n, n_pulses = len(configs), first.grid.n_samples, first.n_pulses
-    loss_factor = first.loss.roundtrip_energy_factor
-    scale = loss_factor ** (0.5 / 2.0)
+    scale = first.loss.roundtrip_energy_factor ** (0.5 / 2.0)
     transmission = first.output_mirror_transmission
     pitch = first.grid.pitch
     coords = first.grid.coordinates
     half = (n + 1) // 2  # fftshift moves samples [half, n) to the front
 
-    iteration_counts = np.arange(1, n_pulses + 1) - 0.5
-    compensation = np.array([loss_factor ** (-count) for count in iteration_counts])
-    profiles = np.empty((rows, n_pulses, n)) if record_profiles else None
+    iteration_counts, compensation = _pulse_counts(first)
+    profiles = None
+    if record_profiles:
+        if on_pulse is not None:
+            raise ValueError("record_profiles and on_pulse are exclusive")
+        profiles = np.empty((rows, n_pulses, n))
+
+        def on_pulse(row: int, intensities: np.ndarray) -> None:
+            profiles[:, row] = intensities
+
     peak_positions = np.empty((rows, n_pulses))
     peak_values = np.empty((rows, n_pulses))
     energies = np.empty((rows, n_pulses))
@@ -291,7 +316,7 @@ def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[Searc
     field = np.empty_like(circulating)
     spectrum = np.empty_like(circulating)
     power = np.empty((rows, n))
-    shifted = None if record_profiles else np.empty((rows, n))
+    intensities = np.empty((rows, n))
     overlaps = [_window_overlap(c.grid, *c.slit_window) for c in configs]
     weighted = np.empty(n)
     for row in range(n_pulses):
@@ -308,15 +333,16 @@ def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[Searc
         np.abs(field, out=power)
         np.square(power, out=power)
         np.multiply(power, transmission, out=power)
-        intensity = profiles[:, row] if record_profiles else shifted
-        np.concatenate((power[:, half:], power[:, :half]), axis=-1, out=intensity)
-        for b, line in enumerate(intensity):
+        np.concatenate((power[:, half:], power[:, :half]), axis=-1, out=intensities)
+        for b, line in enumerate(intensities):
             idx = int(np.argmax(line))
             peak_positions[b, row] = _lobe_center(line, coords, idx)
             peak_values[b, row] = line[idx]
             energies[b, row] = float(np.sum(line) * pitch)
             slit_energies[b, row] = np.sum(np.multiply(line, overlaps[b], out=weighted))
             at_edge[b, row] = idx in (0, n - 1)
+        if on_pulse is not None:
+            on_pulse(row, intensities)
 
         # Backward half pass: flip to the physical output orientation,
         # traverse IAA and oracle once more, and arrive back upright.
@@ -341,7 +367,9 @@ def _run_batch(configs: list[CavityConfig], record_profiles: bool) -> list[Searc
     ]
 
 
-def run_search(config: CavityConfig, record_profiles: bool = True) -> SearchTrace:
+def run_search(
+    config: CavityConfig, record_profiles: bool = True, on_pulse=None
+) -> SearchTrace:
     """Run the full cavity experiment and record every output pulse.
 
     This is ``_run_batch`` with a batch of one.  The circulating field
@@ -353,9 +381,10 @@ def run_search(config: CavityConfig, record_profiles: bool = True) -> SearchTrac
     mask, so each phasor is built once, before the pulse loop.  With
     ``record_profiles`` false the trace keeps only the per-pulse
     measurements, the slit energies among them, and its ``profiles`` is
-    ``None``.
+    ``None``; ``on_pulse`` may then take each pulse's ``(1, n)``
+    intensity as the loop measures it (see ``_run_batch``).
     """
-    return _run_batch([config], record_profiles)[0]
+    return _run_batch([config], record_profiles, on_pulse)[0]
 
 
 def pulse_train(config: CavityConfig) -> list[tuple[float, float]]:

@@ -6,8 +6,9 @@ values and command-line flags over both.
 
 Exit codes: 0 success, 2 configuration error, 4 I/O error.
 
-``main`` also pins glibc's allocator thresholds, once per process (see
-``_pin_allocator``).  Importing the package changes nothing.
+``main`` also pins glibc's allocator thresholds and arena count, once
+per process (see ``_pin_allocator``).  Importing the package changes
+nothing and starts no thread.
 """
 
 import argparse
@@ -27,7 +28,7 @@ EXIT_IO = 4
 
 @functools.cache
 def _pin_allocator() -> None:
-    """Serve blocks under 32 MiB from the heap, and keep them there when freed.
+    """Serve blocks under 32 MiB from one heap, and keep them there when freed.
 
     By default glibc serves blocks of 128 KiB and more with a fresh
     ``mmap`` and unmaps them on free, raising that threshold only after
@@ -35,9 +36,12 @@ def _pin_allocator() -> None:
     every call (512 KiB for two rows of 16384 samples), and a run that
     frees no larger block would fault those pages in anew on every call,
     at about twice the time of a warm one.  Setting both thresholds
-    fixes them, and glibc keeps such blocks mapped for reuse.  Without
-    glibc's ``mallopt`` (another platform or C library) this does
-    nothing.
+    fixes them, and glibc keeps such blocks mapped for reuse.  glibc
+    also gives each new thread that allocates a heap (arena) of its own,
+    up to 8 per core; the profile writer's and the sweep's threads
+    would each keep one filled this way, so one arena serves them all.
+    Without glibc's ``mallopt`` (another platform or C library) this
+    does nothing.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -49,6 +53,7 @@ def _pin_allocator() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, from glibc's malloc.h
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def _parse_bool(text: str) -> bool:

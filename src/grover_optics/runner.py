@@ -7,19 +7,29 @@ byte-identical files.  The config echo inside the summary is written
 verbatim (not rounded) so it re-parses to an equivalent config.
 
 All five tables (``profiles``, ``peaks``, ``train``, ``reference`` and
-``sweep``) go through one writer, ``_write_table``.  Each cell is the
+``sweep``) go through one writer, ``_TableWriter``.  Each cell is the
 text of ``'%.9g' % value``, byte for byte what ``np.savetxt(fmt="%.9g")``
 writes, but spelled by array operations (``_CellFormatter``): values are
 scaled to a 9-digit integer with a table of correctly rounded powers of
 ten, and the text is assembled from lookup tables.  Every value that
-step cannot prove exact -- nan, +-inf, +-0, magnitudes outside
-[1e-290, 1e290), and values whose scaled digits lie within 1e-6 of a
-rounding tie -- is formatted by ``'%.9g' % value`` itself.
+step cannot prove exact -- nan, +-inf, +-0, magnitudes beyond about
+1e+-300, and values whose scaled digits lie within 1e-6 of a rounding
+tie or round up to a tenth digit -- is formatted by ``'%.9g' % value``
+itself.
+
+Search mode writes ``profiles.csv`` while the pulse loop runs: the loop
+hands each pulse's intensities to one writer thread, which adds that
+pulse's rows to the file, so no run keeps its ``(P, n)`` profiles (see
+``_while_writing_profiles``).
 """
 
 import itertools
 import json
+import math
+import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict
 from functools import reduce
 from pathlib import Path
@@ -28,7 +38,7 @@ import numpy as np
 
 from . import analysis, reference
 from ._version import __version__
-from .cavity import _batch_key, _run_batch, run_search
+from .cavity import _batch_key, _pulse_counts, _run_batch, run_search
 from .cavity import pulse_train  # noqa: F401  (unused here; perfbench/spans.py patches it)
 from .config import ExperimentConfig, build_config
 from .errors import ConfigurationError, MeasurementError
@@ -44,44 +54,58 @@ def _round9(value: float) -> float:
 # ``np.savetxt(fmt="%.9g")`` writes.  ``_CellFormatter`` produces those
 # bytes with array operations instead of one ``%`` per value:
 #
-# 1. Scale.  For |v| in [1e-290, 1e290), estimate the decimal exponent
-#    e = floor(log10|v|), then m = |v| * 10**(8 - e), with the power
-#    taken from ``_POW10``, a table of correctly rounded powers of ten.
-#    If m lands outside [1e8, 1e9), e moves by one and m is recomputed;
-#    log10 only ever proposes e, and the range check on m decides it.
+# 1. Scale.  |v| lies in [2**(b-1), 2**b) for its binary exponent b
+#    (``np.frexp``), so its decimal exponent is E = floor((b-1) log10 2)
+#    or E + 1; ``_DECIMAL`` holds E, clipped to [-300, 300].  Then
+#    m = |v| * 10**(8 - e), with the power taken from ``_POW10``, a table
+#    of correctly rounded powers of ten, and if m >= 1e9, e moves up by
+#    one and m is recomputed.  b only ever proposes e, and the range
+#    check on m in step 2 decides it.
 # 2. Round.  m carries two roundings, each at most u = 2**-53 relative
 #    (the table entry and the product), so |m - |v| * 10**(8 - e)| <=
 #    (1e9 + 1) * (2u + u**2) < 2.3e-7.  Rounding to the nearest integer
 #    is constant between consecutive half-integers, so whenever m lies
 #    farther than that bound from every half-integer, rint(m) is the
-#    correctly rounded 9-digit significand D that '%.9g' prints.  Cells
-#    closer than ``_TIE_MARGIN`` = 1e-6 (over 4x the bound) to a
-#    half-integer are not decided here.  D = 1e9 carries to 1e8, e + 1.
-#    Where the exact product lies just outside [1e8, 1e9) and m inside,
-#    both round to the same power of ten, so the exponent holds too.
+#    correctly rounded 9-digit significand D that '%.9g' prints.  A cell
+#    is decided here when 1e8 <= m < 999999999.5, so D has nine digits,
+#    and m lies at least ``_TIE_MARGIN`` = 1e-6 (over 4x the bound) from
+#    every half-integer.  Where the exact product lies just below 1e8
+#    and m does not, both round to D = 1e8, so the exponent holds too.
 # 3. Spell.  D's digits come from a table of 4-digit strings, its
 #    trailing zeros from a table of their counts.  The exponent, the
 #    number of digits kept and the sign select a template that places
 #    the sign, a leading '0.' and zeros, the digits, the point and the
 #    'e+XX' suffix left-aligned in a 16-byte cell padded with NULs.
 #
-# Cells step 2 cannot decide (nan, +-inf, +-0, |v| outside the range,
-# near-ties) are formatted by ``'%.9g' % v`` itself.
+# Cells step 2 cannot decide (nan, +-inf, +-0, |v| beyond about 1e+-300,
+# near-ties and significands that round up to 1e9) are formatted by
+# ``'%.9g' % v`` itself.  Every table lookup that a value step 2 will
+# reject can reach is clipped into range, so no step raises.
 _CELL_BYTES = 16  # longest '%.9g' text: '-1.23456789e-308'
 _TIE_MARGIN = 1e-6
-_LOW, _HIGH = 1e-290, 1e290
 _EXP_MIN, _EXP_MAX = -308, 308  # range of the exponent-indexed tables
 _EXPONENTS = np.arange(_EXP_MIN, _EXP_MAX + 1)
 
 # 10**k for k in [-308, 308]; float() of decimal text rounds correctly
-# (tests/test_runner.py checks every entry).
+# (tests/test_runner.py checks every entry).  Exponent-indexed tables
+# are read at i = e - _EXP_MIN; ``_SCALE[i]`` is 10**(8 - e), for the
+# e in [-300, 301] that step 1 can reach.
 _POW10 = np.array([float(f"1e{k}") for k in _EXPONENTS.tolist()])
+_SCALE = _POW10[np.minimum(8 - _EXPONENTS - _EXP_MIN, _POW10.size - 1)]
+
+# E - _EXP_MIN by binary exponent, from b = -1073 (the least subnormal)
+# to 1024; frexp gives b = 0 for 0, inf and nan.
+_BINARY_MIN = -1073
+_DECIMAL = np.array([
+    min(max(math.floor((b - 1) * math.log10(2)), -300), 300) - _EXP_MIN
+    for b in range(_BINARY_MIN, 1025)
+])
 
 # The digits of 0..9999 are the index tuples of a (10, 10, 10, 10) array.
 _FOUR_DIGITS = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T
 _DIGITS4 = np.ascontiguousarray(_FOUR_DIGITS + 48).view("<u4")[:, 0]
 _TRAILING_ZEROS4 = np.logical_and.accumulate(_FOUR_DIGITS[:, ::-1] == 0, axis=1).sum(
-    axis=1, dtype=np.uint8)
+    axis=1, dtype=np.intp)
 
 # Per-cell source bytes, five uint32 words, that templates copy from:
 #   0 NUL  1 '-'  2 '0'  3 '.' | 4 'e'  5 d1  6-7 NUL | 8 exponent sign,
@@ -89,14 +113,18 @@ _TRAILING_ZEROS4 = np.logical_and.accumulate(_FOUR_DIGITS[:, ::-1] == 0, axis=1)
 _SOURCE_WORDS = 5
 _SOURCE_BYTES = "\0-0.e1\0\0+@@@23456789"  # those bytes for digits 123456789
 _CONST_WORD = np.array(b"\0-0.", dtype="S4").view("<u4")
+_FIRST_WORD = ord("e") | (48 + np.arange(10, dtype=np.uint32)) << 8
 _EXPONENT_WORD = np.array([f"{k:+04d}" for k in _EXPONENTS.tolist()], "S4").view("<u4")
 
 # Layouts: 0..12 fixed notation with exponent -4..8, 13 scientific
 # with a 2-digit exponent, 14 with a 3-digit one.  A template key is
 # (layout, digits kept 1..9, negative) -> layout * 18 + (kept - 1) * 2 + neg.
-_LAYOUT_KEY = 18 * np.where(
+# With kept = 9 - (trailing zeros of D), the key is ``_KEY_BASE[i]``
+# plus ``_KEY_ZEROS`` of each 4-digit group that holds them, plus neg.
+_KEY_BASE = 16 + 18 * np.where(
     (_EXPONENTS >= -4) & (_EXPONENTS <= 8), _EXPONENTS + 4,
     np.where(np.abs(_EXPONENTS) < 100, 13, 14))
+_KEY_ZEROS = -2 * _TRAILING_ZEROS4
 
 
 def _templates() -> np.ndarray:
@@ -124,14 +152,22 @@ class _CellFormatter:
 
     Values are formatted ``chunk`` at a time into buffers that every
     chunk reuses, so repeated calls allocate no large temporaries: one
-    formatter serves every block of a table.
+    formatter serves every block of a table.  The source words are
+    stored word by word, ``source[w, cell]``, so each table lookup
+    writes its word in place; ``templates`` are ``_TEMPLATES`` moved to
+    that layout.
     """
 
     def __init__(self, chunk: int) -> None:
         self.chunk = chunk
-        self.source = np.empty((chunk, _SOURCE_WORDS), dtype=np.uint32)
+        self.source = np.empty((_SOURCE_WORDS, chunk), dtype=np.uint32)
+        self.source[0] = _CONST_WORD
+        self.source_bytes = self.source.reshape(-1).view(np.uint8)
+        self.templates = _TEMPLATES // 4 * (4 * chunk) + _TEMPLATES % 4
         self.index = np.empty((chunk, _CELL_BYTES), dtype=np.int32)
-        self.offsets = (4 * _SOURCE_WORDS * np.arange(chunk, dtype=np.int32))[:, None]
+        # Full size: a broadcast (chunk, 1) operand adds 3x slower.
+        self.offsets = np.repeat(4 * np.arange(chunk, dtype=np.int32), _CELL_BYTES).reshape(
+            chunk, _CELL_BYTES)
 
     def __call__(self, values: np.ndarray, out: np.ndarray) -> None:
         """Fill ``out``, C-contiguous ``values.shape + (16,)``, with the
@@ -144,43 +180,35 @@ class _CellFormatter:
     def _format(self, v: np.ndarray, cells: np.ndarray) -> None:
         n = v.size
         a = np.abs(v)
-        exact = (a >= _LOW) & (a < _HIGH)
-        # Cells outside the range scale a stand-in, so every step below
-        # stays finite; the fallback redoes them.  errstate keeps a table
-        # write silent even so: it must never print a numpy warning.
-        a = np.where(exact, a, 1.0)
+        i = np.take(_DECIMAL, np.frexp(v)[1] - _BINARY_MIN)
+        # errstate keeps a table write silent on nan, inf and 0: it must
+        # never print a numpy warning.
         with np.errstate(all="ignore"):
-            e = np.floor(np.log10(a)).astype(np.intp)
-            m = a * _POW10[8 - e - _EXP_MIN]
-            e += m >= 1e9
-            e -= m < 1e8
-            m = a * _POW10[8 - e - _EXP_MIN]
-        exact &= (m >= 1e8) & (m < 1e9) & (np.abs(m - np.floor(m) - 0.5) >= _TIE_MARGIN)
-        d = np.rint(m).astype(np.intp)
-        carry = d == 1_000_000_000
-        d[carry] = 100_000_000
-        e += carry
-        first = d // 100_000_000
-        rest = d - first * 100_000_000
-        high = rest // 10000
-        low = rest - high * 10000
-        kept = 9 - _TRAILING_ZEROS4[low] - (low == 0) * _TRAILING_ZEROS4[high]
-        key = _LAYOUT_KEY[e - _EXP_MIN] + 2 * (kept - 1) + np.signbit(v)
+            m = a * _SCALE[i]
+            i += m >= 1e9
+            m = a * _SCALE[i]
+            d = np.rint(m)
+            exact = (m >= 1e8) & (m < 999_999_999.5) & (
+                np.abs(m - d) <= 0.5 - _TIE_MARGIN)
+            first, rest = np.divmod(d.astype(np.intp), 100_000_000)
+        high, low = np.divmod(rest, 10000)
+        key = _KEY_BASE[i] + _KEY_ZEROS[low] + (low == 0) * _KEY_ZEROS[high] + np.signbit(v)
 
-        source, index = self.source[:n], self.index[:n]
-        source[:, 0] = _CONST_WORD
-        source[:, 1] = ord("e") | (first + 48) << 8
-        source[:, 2] = _EXPONENT_WORD[e - _EXP_MIN]
-        source[:, 3] = _DIGITS4[high]
-        source[:, 4] = _DIGITS4[low]
-        # Every index is in range; mode="clip" lets take skip its check
-        # and write into ``out`` without an intermediate copy.
-        np.take(_TEMPLATES, key, axis=0, out=index, mode="clip")
+        source = self.source
+        np.take(_FIRST_WORD, first, out=source[1, :n], mode="clip")
+        np.take(_EXPONENT_WORD, i, out=source[2, :n], mode="clip")
+        np.take(_DIGITS4, high, out=source[3, :n], mode="clip")
+        np.take(_DIGITS4, low, out=source[4, :n], mode="clip")
+        # mode="clip" keeps the indices of cells step 2 rejects in range,
+        # and lets take skip its check and write into ``out`` directly.
+        index = self.index[:n]
+        np.take(self.templates, key, axis=0, out=index, mode="clip")
         index += self.offsets[:n]
-        np.take(source.reshape(-1).view(np.uint8), index, out=cells, mode="clip")
+        np.take(self.source_bytes, index, out=cells, mode="clip")
         fallback = np.flatnonzero(~exact)
-        text = ["%.9g" % value for value in v[fallback].tolist()]
-        cells[fallback] = np.array(text, "S16").view(np.uint8).reshape(-1, _CELL_BYTES)
+        if fallback.size:
+            text = ["%.9g" % value for value in v[fallback].tolist()]
+            cells[fallback] = np.array(text, "S16").view(np.uint8).reshape(-1, _CELL_BYTES)
 
 
 # Rows per written block.  A block of profiles.csv holds 4 cells of 17
@@ -188,11 +216,61 @@ class _CellFormatter:
 _BLOCK_ROWS = 4096
 
 
-def _part(array: np.ndarray, group: int, start: int, stop: int) -> np.ndarray:
-    """Rows ``start:stop`` of ``group`` in an array whose first two axes
-    broadcast to the table's ``(groups, rows)``."""
-    group = group if array.shape[0] > 1 else 0
-    return array[group, start:stop] if array.shape[1] > 1 else array[group, :1]
+def _rows(array: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of a column part, or its one row, repeated."""
+    return array[start:stop] if len(array) > 1 else array
+
+
+class _TableWriter:
+    """Writes CSV rows of float columns at 9 significant digits.
+
+    Each cell is the text of ``'%.9g' % value``.  The writer writes a
+    group of ``rows`` rows per ``write`` call, a block of rows at a time
+    through one formatter call, laid out in fixed 17-byte cells (text,
+    NUL padding, separator) and compacted with ``bytes.translate``.  The
+    buffers are reused by every block and every call.
+    """
+
+    def __init__(self, rows: int, live: int, width: int) -> None:
+        """``rows`` per group, ``live`` columns formatted on each call,
+        ``width`` columns in all."""
+        self.rows = rows
+        block_rows = min(rows, _BLOCK_ROWS)
+        self.values = np.empty((block_rows, live))
+        self.cells = np.empty((block_rows, live, _CELL_BYTES), dtype=np.uint8)
+        self.formatter = _CellFormatter(max(self.values.size, 1))
+        self.block = np.empty((block_rows, width, _CELL_BYTES + 1), dtype=np.uint8)
+        self.block[..., -1] = ord(",")
+        self.block[:, -1, -1] = ord("\n")
+
+    def format(self, values) -> np.ndarray:
+        """The cells of ``values``, for a column repeated across groups."""
+        values = np.asarray(values, dtype=np.float64)
+        cells = np.empty(values.shape + (_CELL_BYTES,), dtype=np.uint8)
+        self.formatter(values, cells)
+        return cells
+
+    def write(self, fh, columns: list) -> None:
+        """Write one group of rows to ``fh``.
+
+        A column is either the uint8 cells of ``format``, or a tuple of
+        float arrays whose elementwise product is formatted a block at a
+        time.  Each holds ``rows`` entries, or one that every row repeats.
+        """
+        live = [j for j, column in enumerate(columns) if isinstance(column, tuple)]
+        values, cells, block = self.values, self.cells, self.block
+        for start in range(0, self.rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, self.rows)
+            n = stop - start
+            for i, j in enumerate(live):
+                values[:n, i] = reduce(np.multiply, [_rows(part, start, stop)
+                                                     for part in columns[j]])
+            self.formatter(values[:n], cells[:n])
+            block[:n, live, :_CELL_BYTES] = cells[:n]
+            for j, column in enumerate(columns):
+                if j not in live:
+                    block[:n, j, :_CELL_BYTES] = _rows(column, start, stop)
+            fh.write(block[:n].tobytes().translate(None, b"\0"))
 
 
 def _write_table(path: Path, header: str, columns) -> None:
@@ -200,48 +278,41 @@ def _write_table(path: Path, header: str, columns) -> None:
 
     The bytes equal ``np.savetxt(path, table, fmt="%.9g", delimiter=",",
     comments="", header=header)`` of the same rows, including its
-    ``nan``/``inf``/``-0`` spellings.  The columns are arrays (``None`` is
-    nan) that broadcast against each other to the table's shape,
-    ``(rows,)`` or ``(groups, rows)``, written in C order.  A column
-    smaller than that shape is formatted once and repeated as bytes; a
-    column given as a tuple of arrays is their elementwise product,
-    computed a block at a time.  Each block of rows is formatted by one
-    formatter call, laid out in fixed 17-byte cells (text, NUL padding,
-    separator) and compacted with ``bytes.translate``.
+    ``nan``/``inf``/``-0`` spellings.  The columns are sequences of one
+    length; ``None`` is nan.
     """
-    columns = [[np.atleast_2d(np.asarray(f, dtype=np.float64))
-                for f in (column if isinstance(column, tuple) else (column,))]
-               for column in columns]
-    groups, rows = np.broadcast_shapes(*(f.shape for parts in columns for f in parts))
-    block_rows = min(rows, _BLOCK_ROWS)
-    live = [j for j, parts in enumerate(columns)
-            if len(parts) > 1 or parts[0].size == groups * rows]
-    values = np.empty((block_rows, len(live)))
-    cells = np.empty((block_rows, len(live), _CELL_BYTES), dtype=np.uint8)
-    formatter = _CellFormatter(max(values.size, 1))
-    repeated = {}
-    for j, parts in enumerate(columns):
-        if j not in live:
-            repeated[j] = np.empty(parts[0].shape + (_CELL_BYTES,), dtype=np.uint8)
-            formatter(parts[0], repeated[j])
-
-    block = np.empty((block_rows, len(columns), _CELL_BYTES + 1), dtype=np.uint8)
-    block[..., -1] = ord(",")
-    block[:, -1, -1] = ord("\n")
+    columns = [(np.asarray(column, dtype=np.float64),) for column in columns]
+    table = _TableWriter(len(columns[0][0]), len(columns), len(columns))
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
-        for group in range(groups):
-            for start in range(0, rows, _BLOCK_ROWS):
-                stop = min(start + _BLOCK_ROWS, rows)
-                n = stop - start
-                for i, j in enumerate(live):
-                    values[:n, i] = reduce(np.multiply, [_part(f, group, start, stop)
-                                                         for f in columns[j]])
-                formatter(values[:n], cells[:n])
-                block[:n, live, :_CELL_BYTES] = cells[:n]
-                for j, formatted in repeated.items():
-                    block[:n, j, :_CELL_BYTES] = _part(formatted, group, start, stop)
-                fh.write(block[:n].tobytes().translate(None, b"\0"))
+        table.write(fh, columns)
+
+
+_PROFILES_HEADER = b"iteration_count,x_m,intensity,compensated_intensity\n"
+
+
+def _write_profiles(paths: list[Path], cavity, pulses) -> None:
+    """Write ``profiles.csv`` to each of ``paths`` a pulse at a time.
+
+    ``pulses`` yields ``(row, intensities)`` in row order, the centered
+    intensities of pulse ``row`` of ``cavity`` (or of cavities that
+    share its ``_batch_key``), one row per path.  Each pulse adds its
+    group of rows to every file: the pulse's iteration count, the grid
+    coordinates, the intensity and the intensity times the pulse's
+    compensation factor.
+    """
+    counts, compensation = _pulse_counts(cavity)
+    coordinates = cavity.grid.coordinates
+    table = _TableWriter(coordinates.size, 2, 4)
+    count_cells, coordinate_cells = table.format(counts[:, None]), table.format(coordinates)
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for fh in files:
+            fh.write(_PROFILES_HEADER)
+        for row, intensities in pulses:
+            factor = compensation[row:row + 1]
+            for fh, line in zip(files, intensities):
+                table.write(fh, [count_cells[row], coordinate_cells, (line,), (line, factor)])
 
 
 def _write_summary(path: Path, summary: dict) -> None:
@@ -305,26 +376,9 @@ def _search_summary(cfg: ExperimentConfig, trace, peaks: analysis.PeakTrace) -> 
     return summary
 
 
-def _profile_columns(trace) -> list:
-    """``profiles.csv``'s columns over (pulse, sample), for ``_write_table``.
-
-    The compensated row of each pulse is its profile times the trace's
-    ``compensation`` factor; the writer multiplies it out a block at a
-    time.
-    """
-    return [trace.iteration_counts[:, None], trace.grid.coordinates, trace.profiles,
-            (trace.profiles, trace.compensation[:, None])]
-
-
 def _write_search_outputs(cfg: ExperimentConfig, trace, out_dir: Path) -> dict:
-    """Write a search or analyze run's files for ``trace``; return its summary."""
-    if cfg.mode == "search":
-        _write_table(
-            out_dir / "profiles.csv",
-            "iteration_count,x_m,intensity,compensated_intensity",
-            _profile_columns(trace),
-        )
-
+    """Write a search or analyze run's files for ``trace`` but
+    ``profiles.csv`` (see ``_while_writing_profiles``); return its summary."""
     peaks = analysis.PeakTrace.from_search_trace(trace, compensated=cfg.compensate_loss)
     _write_table(
         out_dir / "peaks.csv",
@@ -414,18 +468,94 @@ def _write_cavity_outputs(cfg: ExperimentConfig, trace, out_dir: Path) -> dict:
     return _write_search_outputs(cfg, trace, out_dir)
 
 
+# Pulses the loop may run ahead of the profile writer.
+_HANDOFF_ROWS = 2
+
+
+def _while_writing_profiles(kernel, cavities: list, paths: list[Path]) -> list:
+    """``kernel(on_pulse)``, the pulse loop over ``cavities``, on this
+    thread, while one writer thread writes their ``profiles.csv`` files
+    to ``paths``; returns the loop's traces.
+
+    The loop copies each pulse's intensities into one of
+    ``_HANDOFF_ROWS`` buffers, waiting while the writer holds them all,
+    and the writer hands each buffer back once its rows are written.  A
+    writer error stops the loop at its next pulse and is raised here; a
+    loop error, or an interrupt, stops the writer after the pulses
+    already handed over.  Either way the writer thread has ended when
+    this returns.
+    """
+    filled, free = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(_HANDOFF_ROWS):
+        free.put(np.empty((len(cavities), cavities[0].grid.n_samples)))
+    failed: list[BaseException] = []
+
+    def handed_over():
+        for row, buffer in iter(filled.get, None):
+            yield row, buffer
+            free.put(buffer)
+
+    def write() -> None:
+        try:
+            _write_profiles(paths, cavities[0], handed_over())
+        except BaseException as err:  # re-raised on the loop's thread
+            failed.append(err)
+            free.put(None)  # wakes a loop waiting for a buffer
+
+    def hand_off(row: int, intensities: np.ndarray) -> None:
+        buffer = free.get()
+        if failed:
+            raise failed[0]
+        np.copyto(buffer, intensities)
+        filled.put((row, buffer))
+
+    writer = threading.Thread(target=write, name="profiles-writer")
+    writer.start()
+    try:
+        traces = kernel(hand_off)
+    finally:
+        filled.put(None)
+        writer.join()
+    if failed:
+        raise failed[0]
+    return traces
+
+
+def _run_points(points: list[ExperimentConfig], cavities: list, out_dirs: list[Path],
+                kernel) -> list[dict]:
+    """Run cavity points through the pulse loop and write each one's files
+    into its directory; return their summaries.
+
+    ``kernel(on_pulse)`` runs ``cavities``, which share a ``_batch_key``,
+    and returns their traces: ``run_search`` for a single run,
+    ``_run_batch`` for a sweep chunk.  Search mode writes ``profiles.csv``
+    while the loop runs, so no trace keeps its profiles.
+    """
+    if points[0].mode == "search":
+        traces = _while_writing_profiles(kernel, cavities,
+                                         [out_dir / "profiles.csv" for out_dir in out_dirs])
+    else:
+        traces = kernel(None)
+    return [_write_cavity_outputs(point, trace, out_dir)
+            for point, trace, out_dir in zip(points, traces, out_dirs)]
+
+
 def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     """Execute one configured run; returns the summary that was written.
 
-    Only search mode keeps the pulse profiles: it is the mode that
-    writes them.
+    Search mode writes ``profiles.csv`` while the pulse loop runs (see
+    ``_while_writing_profiles``); no mode keeps the pulse profiles.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.mode == "reference":
         return _run_reference_mode(cfg, out)
-    trace = run_search(cfg.to_cavity_config(), record_profiles=cfg.mode == "search")
-    return _write_cavity_outputs(cfg, trace, out)
+    cavity = cfg.to_cavity_config()
+    summary, = _run_points(
+        [cfg], [cavity], [out],
+        lambda on_pulse: [run_search(cavity, record_profiles=False, on_pulse=on_pulse)],
+    )
+    return summary
 
 
 # Bytes of complex128 field rows per batched kernel call: 2 rows at
@@ -525,13 +655,12 @@ def sweep(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     def _execute(chunk: list[int]) -> list[dict]:
         if not batched:
             return [run(point_configs[i], out / f"point_{i:03d}") for i in chunk]
-        traces = _run_batch([cavities[i] for i in chunk], cfg.mode == "search")
-        summaries = []
-        for i, trace in zip(chunk, traces):
-            point_dir = out / f"point_{i:03d}"
+        batch = [cavities[i] for i in chunk]
+        point_dirs = [out / f"point_{i:03d}" for i in chunk]
+        for point_dir in point_dirs:
             point_dir.mkdir(exist_ok=True)
-            summaries.append(_write_cavity_outputs(point_configs[i], trace, point_dir))
-        return summaries
+        return _run_points([point_configs[i] for i in chunk], batch, point_dirs,
+                           lambda on_pulse: _run_batch(batch, False, on_pulse))
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:

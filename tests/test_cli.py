@@ -3,12 +3,14 @@ import json
 import platform
 import subprocess
 import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from grover_optics import build_config, cli, pulse_train, runner
+from grover_optics import build_config, cavity, cli, pulse_train, run_search, runner
 from grover_optics.cli import main
 
 SMALL_GRID = {"grid_samples": 4096, "grid_pitch_um": 2.0}
@@ -219,7 +221,8 @@ class TestPulseTrainCommand:
         trace = SimpleNamespace(iteration_counts=np.array([0.5, 1.5, 2.5]),
                                 slit_energies=np.array([0.0, 2e-4, 1e-4]),
                                 total_energies=np.array([1e-3, 1e-3, 1e-3]))
-        monkeypatch.setattr(runner, "run_search", lambda cavity, record_profiles: trace)
+        monkeypatch.setattr(runner, "run_search",
+                            lambda cavity, record_profiles, on_pulse: trace)
         cfg = write_config(tmp_path, preset="paper-42um", **SMALL_GRID)
         out = tmp_path / "out"
         assert main(["pulse-train", "--config", str(cfg), "--out", str(out)]) == 0
@@ -444,6 +447,119 @@ class TestSweepCommand:
         assert (out / "sweep.csv").stat().st_size > 0
 
 
+def main_on_a_thread(argv, timeout=120):
+    """``main(argv)`` on a thread of its own, joined with a timeout.
+
+    Returns ``{"code": exit code}`` or ``{"error": what it raised}``,
+    after checking that the call ended and left no thread running."""
+    before = threading.active_count()
+    result = {}
+
+    def call():
+        try:
+            result["code"] = main(argv)
+        except BaseException as err:  # handed to the test
+            result["error"] = err
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "main did not return"
+    assert threading.active_count() == before
+    return result
+
+
+def serial_profiles(config, path):
+    """``profiles.csv`` of ``config``'s recorded profiles, written on this
+    thread after the pulse loop has ended."""
+    cavity_config = config.to_cavity_config()
+    profiles = run_search(cavity_config).profiles
+    runner._write_profiles([path], cavity_config,
+                           ((row, profile[None]) for row, profile in enumerate(profiles)))
+    return path.read_bytes()
+
+
+@pytest.fixture
+def short_switch_interval():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestProfileWriterThread:
+    """Search mode writes profiles.csv on a writer thread while the pulse
+    loop runs; neither side may hang the other or outlive the call."""
+
+    def test_unwritable_profiles_exits_4_without_hanging(self, tmp_path, capsys):
+        # The writer fails at once; a loop blocked on a full hand-off
+        # would wait for it forever.
+        out = tmp_path / "out"
+        (out / "profiles.csv").mkdir(parents=True)
+        cfg = write_config(tmp_path, preset="paper-42um", **SMALL_GRID)
+        assert main_on_a_thread(["run", "--config", str(cfg), "--out", str(out)]) == {"code": 4}
+        assert "profiles.csv" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_writer_error_wakes_a_waiting_loop(self, tmp_path, monkeypatch, capsys):
+        # By the time this writer fails, the loop has filled both
+        # hand-off buffers and waits for one to come back.
+        def fail_later(paths, cavity_config, pulses):
+            time.sleep(0.5)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(runner, "_write_profiles", fail_later)
+        cfg = write_config(tmp_path, preset="paper-42um", **SMALL_GRID)
+        out = tmp_path / "out"
+        assert main_on_a_thread(["run", "--config", str(cfg), "--out", str(out)]) == {"code": 4}
+        assert "disk full" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_loop_error_stops_the_writer(self, tmp_path, monkeypatch, error):
+        measured = []
+        original = cavity._lobe_center
+
+        def fail_on_pulse_5(intensity, coords, idx):
+            measured.append(idx)
+            if len(measured) == 5:
+                raise error("measurement failed")
+            return original(intensity, coords, idx)
+
+        monkeypatch.setattr(cavity, "_lobe_center", fail_on_pulse_5)
+        cfg = write_config(tmp_path, preset="paper-42um", **SMALL_GRID)
+        out = tmp_path / "out"
+        result = main_on_a_thread(["run", "--config", str(cfg), "--out", str(out)])
+        assert type(result["error"]) is error
+        # At most the four pulses measured before the error were written.
+        lines = (out / "profiles.csv").read_bytes().count(b"\n")
+        assert 1 <= lines <= 1 + 4 * 4096
+        assert not (out / "summary.json").exists()
+
+    def test_run_profiles_under_a_short_switch_interval(self, tmp_path, short_switch_interval):
+        cfg = write_config(tmp_path, preset="paper-42um", **SMALL_GRID)
+        out = tmp_path / "out"
+        assert main_on_a_thread(["run", "--config", str(cfg), "--out", str(out)]) == {"code": 0}
+        expected = serial_profiles(build_config(json.loads(cfg.read_text())),
+                                   tmp_path / "expected.csv")
+        assert (out / "profiles.csv").read_bytes() == expected
+
+    def test_sweep_profiles_with_more_threads_than_cores(self, tmp_path, short_switch_interval):
+        # Three pulse counts make three kernel chunks: three sweep threads,
+        # each with its writer thread.
+        raw = {"preset": "paper-42um", **SMALL_GRID}
+        cfg = write_config(tmp_path, **raw, sweep=[{"parameter": "n_pulses",
+                                                    "values": [6.0, 8.0, 10.0]}])
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--workers", "3"]
+        assert main_on_a_thread(argv) == {"code": 0}
+        for point, n_pulses in enumerate((6, 8, 10)):
+            expected = serial_profiles(build_config({**raw, "n_pulses": n_pulses}),
+                                       tmp_path / f"expected{point}.csv")
+            assert (out / f"point_{point:03d}" / "profiles.csv").read_bytes() == expected
+
+
 def test_module_entry_point_smoke(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"preset": "paper-42um", "mode": "analyze"}))
@@ -520,3 +636,27 @@ def test_main_runs_without_mallopt(tmp_path, monkeypatch, missing):
     finally:
         cli._pin_allocator.cache_clear()
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.skipif(not glibc_mallopt(), reason="needs glibc's mallopt")
+def test_threads_share_one_malloc_arena_after_main(tmp_path):
+    # glibc gives each thread that allocates an arena of its own (2 here)
+    # unless the pin holds them to one; malloc_stats prints one
+    # "Arena N:" block per arena.
+    script = f"""
+import ctypes, threading
+import numpy as np
+from grover_optics.cli import main
+assert main(["reference", "--out", {str(tmp_path / "out")!r}]) == 0
+thread = threading.Thread(target=lambda: [np.ones(1000) for _ in range(100)])
+thread.start()
+thread.join()
+libc = ctypes.CDLL(None)
+libc.malloc_stats.restype = None
+libc.malloc_stats()
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert [line for line in result.stderr.splitlines() if line.startswith("Arena ")] == [
+        "Arena 0:"]

@@ -2,6 +2,7 @@
 ``np.savetxt``, their byte-for-byte reference; what search and analyze
 runs keep and write; how a sweep's points are cut into kernel batches."""
 
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -17,7 +18,7 @@ from grover_optics.runner import (
     _POW10,
     _CellFormatter,
     _batch_chunks,
-    _profile_columns,
+    _write_profiles,
     _write_table,
 )
 
@@ -81,44 +82,48 @@ def test_integer_and_missing_cells(tmp_path):
     assert path.read_text() == "point,v,s\n0,42,nan\n1,84,1.5\n2,1000000,9.00719925e+15\n"
 
 
-def column_stacked_profiles(trace, loss_factor):
-    """The table ``profiles.csv`` held before it was written per pulse."""
-    n = trace.grid.coordinates.size
+def column_stacked_profiles(cavity, profiles):
+    """The table ``profiles.csv`` holds, as ``np.savetxt`` would write it."""
+    counts = np.arange(1, cavity.n_pulses + 1) - 0.5
+    loss_factor = cavity.loss.roundtrip_energy_factor
+    n = cavity.grid.coordinates.size
     compensated = [
-        profile * loss_factor ** (-count)
-        for count, profile in zip(trace.iteration_counts, trace.profiles)
+        profile * loss_factor ** (-count) for count, profile in zip(counts, profiles)
     ]
     return np.column_stack([
-        np.repeat(trace.iteration_counts, n),
-        np.tile(trace.grid.coordinates, trace.iteration_counts.size),
-        trace.profiles.ravel(),
+        np.repeat(counts, n),
+        np.tile(cavity.grid.coordinates, counts.size),
+        profiles.ravel(),
         np.concatenate(compensated),
     ])
 
 
+def streamed_profiles_bytes(path, cavity, profiles):
+    """``profiles.csv`` as the writer thread writes it, pulse by pulse."""
+    _write_profiles([path], cavity,
+                    ((row, profile[None]) for row, profile in enumerate(profiles)))
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("n_samples", [1, 255, 256, 257, 513, 4095, 4097])
 def test_profile_blocks_match_savetxt_across_block_edges(tmp_path, n_samples):
-    counts = np.arange(3) + 0.5
-    trace = SimpleNamespace(
+    cavity = SimpleNamespace(
+        n_pulses=3,
+        loss=SimpleNamespace(roundtrip_energy_factor=0.75),
         grid=SimpleNamespace(coordinates=np.linspace(-1e-3, 1e-3, n_samples)),
-        iteration_counts=counts,
-        profiles=edge_table(counts.size, n_samples, seed=n_samples),
-        compensation=np.array([0.75 ** (-count) for count in counts]),
     )
+    profiles = edge_table(3, n_samples, seed=n_samples)
     expected = savetxt_bytes(tmp_path / "expected.csv", PROFILE_HEADER,
-                             column_stacked_profiles(trace, 0.75))
-    got = writer_bytes(tmp_path / "got.csv", PROFILE_HEADER, _profile_columns(trace))
-    assert got == expected
+                             column_stacked_profiles(cavity, profiles))
+    assert streamed_profiles_bytes(tmp_path / "got.csv", cavity, profiles) == expected
 
 
 def test_profile_blocks_match_savetxt_on_a_search_trace(tmp_path):
     config = paper_cavity(42.0, n_pulses=4, grid=Grid1D(4096, 2e-6))
-    trace = run_search(config)
-    loss_factor = config.loss.roundtrip_energy_factor
+    profiles = run_search(config).profiles
     expected = savetxt_bytes(tmp_path / "expected.csv", PROFILE_HEADER,
-                             column_stacked_profiles(trace, loss_factor))
-    got = writer_bytes(tmp_path / "got.csv", PROFILE_HEADER, _profile_columns(trace))
-    assert got == expected
+                             column_stacked_profiles(config, profiles))
+    assert streamed_profiles_bytes(tmp_path / "got.csv", config, profiles) == expected
 
 
 def test_powers_of_ten_are_correctly_rounded():
@@ -173,18 +178,40 @@ def test_analyze_mode_writes_search_modes_peaks(tmp_path):
     assert not (tmp_path / "analyze" / "profiles.csv").exists()
 
 
-def test_only_search_mode_keeps_profiles(tmp_path, monkeypatch):
-    traces = []
+def test_no_run_mode_keeps_profiles(tmp_path, monkeypatch):
+    # Search mode hands its pulses to the profile writer as the loop runs.
+    calls = []
 
     def keep(config, **kwargs):
-        traces.append(run_search(config, **kwargs))
-        return traces[-1]
+        calls.append((kwargs, run_search(config, **kwargs)))
+        return calls[-1][1]
 
     monkeypatch.setattr(runner, "run_search", keep)
     runner.run(small_run_config("search"), tmp_path / "search")
     runner.run(small_run_config("analyze"), tmp_path / "analyze")
-    assert traces[0].profiles.shape == (12, 4096)
-    assert traces[1].profiles is None
+    (search, search_trace), (analyze, analyze_trace) = calls
+    assert search_trace.profiles is None and analyze_trace.profiles is None
+    assert search["record_profiles"] is False and analyze["record_profiles"] is False
+    assert callable(search["on_pulse"]) and analyze["on_pulse"] is None
+    assert len((tmp_path / "search" / "profiles.csv").read_bytes().splitlines()) == 1 + 12 * 4096
+
+
+def test_search_memory_does_not_grow_with_the_pulse_count(tmp_path):
+    # A (P, n) profile array would add 32 KiB a pulse at 4096 samples:
+    # 1.5 MiB for the 48 more pulses.  An untraced first run fills
+    # numpy's FFT plan cache.
+    runner.run(small_run_config("search"), tmp_path / "warm-up")
+    peaks = {}
+    for n_pulses in (12, 60):
+        cfg = build_config({"preset": "paper-42um", "grid_samples": 4096,
+                            "n_pulses": n_pulses})
+        tracemalloc.start()
+        try:
+            runner.run(cfg, tmp_path / str(n_pulses))
+            peaks[n_pulses] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[60] - peaks[12]) < 64 * 1024
 
 
 def sweep_cavities(grid_samples, flat_widths, **overrides):
