@@ -15,21 +15,26 @@ ten, and the text is assembled from lookup tables.  Every value that
 step cannot prove exact -- nan, +-inf, +-0, magnitudes beyond about
 1e+-300, and values whose scaled digits lie within 1e-6 of a rounding
 tie or round up to a tenth digit -- is formatted by ``'%.9g' % value``
-itself.
+itself.  The writer formats each distinct column once per block of rows
+and lays every column at its own width: 16 bytes for a column it
+formats, the longest text for one spelled ahead, such as a profile's
+coordinates.
 
 Search mode writes ``profiles.csv`` while the pulse loop runs: the loop
 hands each pulse's intensities to one writer thread, which adds that
-pulse's rows to the file, so no run keeps its ``(P, n)`` profiles (see
-``_while_writing_profiles``).
+pulse's rows to the file, so no run keeps its ``(P, n)`` profiles.  The
+file is written under a temporary name and moved into place once the
+run has succeeded (see ``_while_writing_profiles``).
 """
 
 import itertools
 import json
 import math
+import os
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import asdict
 from functools import reduce
 from pathlib import Path
@@ -190,8 +195,15 @@ class _CellFormatter:
             d = np.rint(m)
             exact = (m >= 1e8) & (m < 999_999_999.5) & (
                 np.abs(m - d) <= 0.5 - _TIE_MARGIN)
-            first, rest = np.divmod(d.astype(np.intp), 100_000_000)
-        high, low = np.divmod(rest, 10000)
+            # A decided cell's D lies in [1e8, 999999999], inside int32,
+            # whose floor division is about 3x faster than intp divmod.
+            # A rejected cell's cast is arbitrary, but its rest, high and
+            # low still lie in range: the subtractions are exact mod 2**32.
+            digits = d.astype(np.int32)
+        first = digits // 100_000_000
+        rest = digits - first * 100_000_000
+        high = rest // 10000
+        low = rest - high * 10000
         key = _KEY_BASE[i] + _KEY_ZEROS[low] + (low == 0) * _KEY_ZEROS[high] + np.signbit(v)
 
         source = self.source
@@ -211,8 +223,9 @@ class _CellFormatter:
             cells[fallback] = np.array(text, "S16").view(np.uint8).reshape(-1, _CELL_BYTES)
 
 
-# Rows per written block.  A block of profiles.csv holds 4 cells of 17
-# bytes a row, and formats 2 of them, so it stays near 1 MB.
+# Rows per written block.  A profiles.csv block row is 49 bytes (two
+# formatted 16-byte cells, the count and coordinate texts at their own
+# widths, 4 separators): about 200 KB a block.
 _BLOCK_ROWS = 4096
 
 
@@ -226,51 +239,73 @@ class _TableWriter:
 
     Each cell is the text of ``'%.9g' % value``.  The writer writes a
     group of ``rows`` rows per ``write`` call, a block of rows at a time
-    through one formatter call, laid out in fixed 17-byte cells (text,
-    NUL padding, separator) and compacted with ``bytes.translate``.  The
-    buffers are reused by every block and every call.
+    through one formatter call.  A block row lays each column's cell at
+    that column's width, NUL-padded and followed by its separator, and
+    is compacted with ``bytes.translate``: 16 bytes for a formatted
+    column, the longest text for one that ``format`` spelled ahead.
+    Cells are copied as single ``V<width>`` items.  The buffers are
+    reused by every block and every call.
     """
 
-    def __init__(self, rows: int, live: int, width: int) -> None:
-        """``rows`` per group, ``live`` columns formatted on each call,
-        ``width`` columns in all."""
+    def __init__(self, rows: int, live: int) -> None:
+        """``rows`` per group, at most ``live`` distinct columns
+        formatted on each call."""
         self.rows = rows
-        block_rows = min(rows, _BLOCK_ROWS)
-        self.values = np.empty((block_rows, live))
-        self.cells = np.empty((block_rows, live, _CELL_BYTES), dtype=np.uint8)
+        self.block_rows = min(rows, _BLOCK_ROWS)
+        self.values = np.empty(self.block_rows * live)
+        self.cells = np.empty((self.block_rows * live, _CELL_BYTES), dtype=np.uint8)
         self.formatter = _CellFormatter(max(self.values.size, 1))
-        self.block = np.empty((block_rows, width, _CELL_BYTES + 1), dtype=np.uint8)
-        self.block[..., -1] = ord(",")
-        self.block[:, -1, -1] = ord("\n")
+        self.widths = None
 
     def format(self, values) -> np.ndarray:
-        """The cells of ``values``, for a column repeated across groups."""
+        """The cells of ``values``, for a column repeated across groups:
+        one ``V<width>`` item per value, as wide as the longest text."""
         values = np.asarray(values, dtype=np.float64)
         cells = np.empty(values.shape + (_CELL_BYTES,), dtype=np.uint8)
         self.formatter(values, cells)
-        return cells
+        width = int(np.count_nonzero(cells, axis=-1).max(initial=1))
+        return np.ascontiguousarray(cells[..., :width]).view(f"V{width}")[..., 0]
+
+    def _lay_out(self, widths: tuple) -> None:
+        """Build the block for columns of ``widths`` bytes, and one
+        ``V<width>`` view of each column's cells."""
+        ends = np.cumsum(widths) + np.arange(1, len(widths) + 1)
+        block = np.zeros((self.block_rows, int(ends[-1])), dtype=np.uint8)
+        block[:, ends - 1] = ord(",")
+        block[:, -1] = ord("\n")
+        self.block, self.widths = block, widths
+        self.slots = [block[:, end - 1 - width:end - 1].view(f"V{width}")[:, 0]
+                      for end, width in zip(ends.tolist(), widths)]
 
     def write(self, fh, columns: list) -> None:
         """Write one group of rows to ``fh``.
 
-        A column is either the uint8 cells of ``format``, or a tuple of
-        float arrays whose elementwise product is formatted a block at a
-        time.  Each holds ``rows`` entries, or one that every row repeats.
+        A column is either the cells of ``format``, or a tuple of float
+        arrays whose elementwise product is formatted a block at a time;
+        columns whose tuples hold the same array objects are formatted
+        once.  Each holds ``rows`` entries, or one that every row repeats.
         """
-        live = [j for j, column in enumerate(columns) if isinstance(column, tuple)]
-        values, cells, block = self.values, self.cells, self.block
+        widths = tuple(_CELL_BYTES if isinstance(column, tuple) else column.dtype.itemsize
+                       for column in columns)
+        if widths != self.widths:
+            self._lay_out(widths)
+        distinct: dict[tuple, tuple] = {}  # the parts' ids -> (slot, parts)
+        slots = [distinct.setdefault(tuple(map(id, column)), (len(distinct), column))[0]
+                 if isinstance(column, tuple) else None for column in columns]
+        k = len(distinct)
         for start in range(0, self.rows, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, self.rows)
             n = stop - start
-            for i, j in enumerate(live):
-                values[:n, i] = reduce(np.multiply, [_rows(part, start, stop)
-                                                     for part in columns[j]])
-            self.formatter(values[:n], cells[:n])
-            block[:n, live, :_CELL_BYTES] = cells[:n]
-            for j, column in enumerate(columns):
-                if j not in live:
-                    block[:n, j, :_CELL_BYTES] = _rows(column, start, stop)
-            fh.write(block[:n].tobytes().translate(None, b"\0"))
+            values, cells = self.values[:n * k].reshape(n, k), self.cells[:n * k]
+            for slot, parts in distinct.values():
+                values[:, slot] = reduce(np.multiply, [_rows(part, start, stop)
+                                                       for part in parts])
+            self.formatter(values, cells)
+            formatted = cells.view(f"V{_CELL_BYTES}").reshape(n, k)
+            for out, column, slot in zip(self.slots, columns, slots):
+                out[:n] = (_rows(column, start, stop) if slot is None
+                           else formatted[:, slot])
+            fh.write(self.block[:n].tobytes().translate(None, b"\0"))
 
 
 def _write_table(path: Path, header: str, columns) -> None:
@@ -282,7 +317,7 @@ def _write_table(path: Path, header: str, columns) -> None:
     length; ``None`` is nan.
     """
     columns = [(np.asarray(column, dtype=np.float64),) for column in columns]
-    table = _TableWriter(len(columns[0][0]), len(columns), len(columns))
+    table = _TableWriter(len(columns[0][0]), len(columns))
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
         table.write(fh, columns)
@@ -303,16 +338,19 @@ def _write_profiles(paths: list[Path], cavity, pulses) -> None:
     """
     counts, compensation = _pulse_counts(cavity)
     coordinates = cavity.grid.coordinates
-    table = _TableWriter(coordinates.size, 2, 4)
+    table = _TableWriter(coordinates.size, 2)
     count_cells, coordinate_cells = table.format(counts[:, None]), table.format(coordinates)
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "wb")) for path in paths]
         for fh in files:
             fh.write(_PROFILES_HEADER)
         for row, intensities in pulses:
-            factor = compensation[row:row + 1]
+            # A lossless pulse's compensated column is its intensity
+            # (line * 1.0 is line, bit for bit): one column to format.
+            factor = None if compensation[row] == 1.0 else compensation[row:row + 1]
             for fh, line in zip(files, intensities):
-                table.write(fh, [count_cells[row], coordinate_cells, (line,), (line, factor)])
+                compensated = (line,) if factor is None else (line, factor)
+                table.write(fh, [count_cells[row], coordinate_cells, (line,), compensated])
 
 
 def _write_summary(path: Path, summary: dict) -> None:
@@ -483,8 +521,12 @@ def _while_writing_profiles(kernel, cavities: list, paths: list[Path]) -> list:
     writer error stops the loop at its next pulse and is raised here; a
     loop error, or an interrupt, stops the writer after the pulses
     already handed over.  Either way the writer thread has ended when
-    this returns.
+    this returns.  The files are written under temporary sibling names
+    and moved onto ``paths`` only once the loop and the writer have both
+    succeeded; on any error the temporaries are removed, so a failed run
+    leaves no ``profiles.csv``.
     """
+    temporaries = [path.with_name(path.name + ".tmp") for path in paths]
     filled, free = queue.SimpleQueue(), queue.SimpleQueue()
     for _ in range(_HANDOFF_ROWS):
         free.put(np.empty((len(cavities), cavities[0].grid.n_samples)))
@@ -497,7 +539,7 @@ def _while_writing_profiles(kernel, cavities: list, paths: list[Path]) -> list:
 
     def write() -> None:
         try:
-            _write_profiles(paths, cavities[0], handed_over())
+            _write_profiles(temporaries, cavities[0], handed_over())
         except BaseException as err:  # re-raised on the loop's thread
             failed.append(err)
             free.put(None)  # wakes a loop waiting for a buffer
@@ -512,12 +554,20 @@ def _while_writing_profiles(kernel, cavities: list, paths: list[Path]) -> list:
     writer = threading.Thread(target=write, name="profiles-writer")
     writer.start()
     try:
-        traces = kernel(hand_off)
-    finally:
-        filled.put(None)
-        writer.join()
-    if failed:
-        raise failed[0]
+        try:
+            traces = kernel(hand_off)
+        finally:
+            filled.put(None)
+            writer.join()
+        if failed:
+            raise failed[0]
+        for temporary, path in zip(temporaries, paths):
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary in temporaries:
+            with suppress(OSError):
+                temporary.unlink()
+        raise
     return traces
 
 

@@ -503,6 +503,16 @@ class TestProfileWriterThread:
         assert "profiles.csv" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    def test_unwritable_temporary_exits_4_without_hanging(self, tmp_path, capsys):
+        # profiles.csv is written under a temporary name first: the real
+        # writer fails at once when that name cannot be opened.
+        out = tmp_path / "out"
+        (out / "profiles.csv.tmp").mkdir(parents=True)
+        cfg = write_config(tmp_path, preset="paper-42um", **SMALL_GRID)
+        assert main_on_a_thread(["run", "--config", str(cfg), "--out", str(out)]) == {"code": 4}
+        assert "profiles.csv.tmp" in capsys.readouterr().err
+        assert list(out.iterdir()) == [out / "profiles.csv.tmp"]
+
     def test_writer_error_wakes_a_waiting_loop(self, tmp_path, monkeypatch, capsys):
         # By the time this writer fails, the loop has filled both
         # hand-off buffers and waits for one to come back.
@@ -532,10 +542,9 @@ class TestProfileWriterThread:
         out = tmp_path / "out"
         result = main_on_a_thread(["run", "--config", str(cfg), "--out", str(out)])
         assert type(result["error"]) is error
-        # At most the four pulses measured before the error were written.
-        lines = (out / "profiles.csv").read_bytes().count(b"\n")
-        assert 1 <= lines <= 1 + 4 * 4096
-        assert not (out / "summary.json").exists()
+        # The writer has ended, and the pulses it wrote before the error
+        # are gone: no profiles.csv, no temporary, no summary.
+        assert list(out.iterdir()) == []
 
     def test_run_profiles_under_a_short_switch_interval(self, tmp_path, short_switch_interval):
         cfg = write_config(tmp_path, preset="paper-42um", **SMALL_GRID)

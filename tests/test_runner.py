@@ -105,17 +105,42 @@ def streamed_profiles_bytes(path, cavity, profiles):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("n_samples", [1, 255, 256, 257, 513, 4095, 4097])
-def test_profile_blocks_match_savetxt_across_block_edges(tmp_path, n_samples):
+BLOCK_EDGE_SAMPLES = [1, 255, 256, 257, 513, 4095, 4097]
+
+
+@pytest.mark.parametrize("n_samples, loss_factor", [
+    *(pytest.param(n, 0.75, id=str(n)) for n in BLOCK_EDGE_SAMPLES),
+    *(pytest.param(n, 1.0, id=f"{n}-lossless") for n in BLOCK_EDGE_SAMPLES),
+])
+def test_profile_blocks_match_savetxt_across_block_edges(tmp_path, n_samples, loss_factor):
+    # A lossless cavity's compensated column is formatted from the
+    # intensity column itself.
     cavity = SimpleNamespace(
         n_pulses=3,
-        loss=SimpleNamespace(roundtrip_energy_factor=0.75),
+        loss=SimpleNamespace(roundtrip_energy_factor=loss_factor),
         grid=SimpleNamespace(coordinates=np.linspace(-1e-3, 1e-3, n_samples)),
     )
     profiles = edge_table(3, n_samples, seed=n_samples)
     expected = savetxt_bytes(tmp_path / "expected.csv", PROFILE_HEADER,
                              column_stacked_profiles(cavity, profiles))
     assert streamed_profiles_bytes(tmp_path / "got.csv", cavity, profiles) == expected
+
+
+def test_preformatted_columns_match_savetxt_at_their_own_widths(tmp_path):
+    # Pre-formatted columns of 1-byte and 16-byte texts, a repeated one
+    # among them, laid beside formatted ones across a block edge.
+    n_rows = 4097
+    longest = np.resize([-1.23456789e-308, np.nan, -0.0, 1.5], n_rows)
+    live = edge_table(n_rows, 1, seed=7)[:, 0]
+    table = runner._TableWriter(n_rows, 2)
+    zeros, wide, one = table.format(np.zeros(n_rows)), table.format(longest), table.format([0.0])
+    assert (zeros.dtype.itemsize, wide.dtype.itemsize, one.dtype.itemsize) == (1, 16, 1)
+    with open(tmp_path / "got.csv", "wb") as fh:
+        fh.write(b"a,b,c,d,e\n")
+        table.write(fh, [zeros, (live,), wide, one, (live, np.array([0.5]))])
+    expected = savetxt_bytes(tmp_path / "expected.csv", "a,b,c,d,e", np.column_stack(
+        [np.zeros(n_rows), live, longest, np.zeros(n_rows), live * 0.5]))
+    assert (tmp_path / "got.csv").read_bytes() == expected
 
 
 def test_profile_blocks_match_savetxt_on_a_search_trace(tmp_path):
@@ -194,6 +219,25 @@ def test_no_run_mode_keeps_profiles(tmp_path, monkeypatch):
     assert search["record_profiles"] is False and analyze["record_profiles"] is False
     assert callable(search["on_pulse"]) and analyze["on_pulse"] is None
     assert len((tmp_path / "search" / "profiles.csv").read_bytes().splitlines()) == 1 + 12 * 4096
+
+
+@pytest.mark.parametrize("preset, live", [("ideal", 1), ("paper-42um", 2)])
+def test_lossless_search_formats_one_live_profile_column(tmp_path, monkeypatch, preset, live):
+    # In a lossless cavity every compensation factor is 1.0, so the
+    # compensated column is the intensity column, formatted once.
+    formatted = []
+    call = runner._CellFormatter.__call__
+
+    def count(formatter, values, out):
+        formatted.append(values.size)
+        call(formatter, values, out)
+
+    monkeypatch.setattr(runner._CellFormatter, "__call__", count)
+    cfg = build_config({"preset": preset, "grid_samples": 4096})
+    runner.run(cfg, tmp_path)
+    pulses, n = cfg.n_pulses, 4096
+    # The profiles' live columns, their counts and coordinates, then peaks.csv.
+    assert sum(formatted) == live * pulses * n + pulses + n + 3 * pulses
 
 
 def test_search_memory_does_not_grow_with_the_pulse_count(tmp_path):
