@@ -48,10 +48,9 @@ through the detection slit.  The loop then hands the pulse's ``(B, n)``
 intensities to the caller's ``on_pulse``, if any, and overwrites them
 with the next pulse: the CLI's search mode writes ``profiles.csv`` from
 that hand-off on a second thread while the loop runs (see
-``runner``), so no ``(B, P, n)`` array is built.  ``record_profiles``
-is one more consumer of the same hand-off, which keeps every pulse in
-the trace's ``profiles`` for library callers and tests; the pulse train
-reads its slit energies off the trace.
+``runner``), so no ``(B, P, n)`` array is built.  The hand-off is the
+only way a profile leaves the loop; a trace keeps the measurements, and
+the pulse train reads its slit energies off it.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -158,17 +157,17 @@ class SearchTrace:
     """Per-pulse record of a cavity run.
 
     Pulse j (1-based) appears at row j - 1 with iteration_count j - 0.5.
-    ``profiles`` holds the recorded output intensities (scaled by the
-    output mirror transmission), or is ``None`` for a run that kept only
-    the measurements below.  ``slit_energies`` are the uncompensated
-    energies through ``CavityConfig.slit_window``: each sample cell's
-    intensity weighted by the length of it the window covers, summed
-    over the whole grid.  ``compensation`` holds pulse j's factor
-    loss^-(j - 0.5), which undoes the uniform decay the way the raw
-    measurement data is rescaled for display; ``compensated_peak_values``
-    and the compensated profiles of ``profiles.csv`` are scaled by it.
-    Peaks that fall on the first or last grid sample are flagged, not
-    fatal.
+    The trace keeps no profile: each pulse's output intensity (scaled
+    by the output mirror transmission) goes to ``run_search``'s
+    ``on_pulse`` as the loop measures it.  ``slit_energies`` are the
+    uncompensated energies through ``CavityConfig.slit_window``: each
+    sample cell's intensity weighted by the length of it the window
+    covers, summed over the whole grid.  ``compensation`` holds pulse
+    j's factor loss^-(j - 0.5), which undoes the uniform decay the way
+    the raw measurement data is rescaled for display;
+    ``compensated_peak_values`` and the compensated profiles of
+    ``profiles.csv`` are scaled by it.  Peaks that fall on the first or
+    last grid sample are flagged, not fatal.
 
     ``peak_values`` are the brightest-sample intensities while
     ``peak_positions`` locate the dominant lobe by the centroid of its
@@ -179,7 +178,6 @@ class SearchTrace:
 
     grid: Grid1D
     iteration_counts: np.ndarray
-    profiles: np.ndarray | None
     peak_positions: np.ndarray
     peak_values: np.ndarray
     compensation: np.ndarray
@@ -258,9 +256,7 @@ def _pulse_counts(config: CavityConfig) -> tuple[np.ndarray, np.ndarray]:
     return counts, np.array([loss_factor ** (-count) for count in counts])
 
 
-def _run_batch(
-    configs: list[CavityConfig], record_profiles: bool, on_pulse=None
-) -> list[SearchTrace]:
+def _run_batch(configs: list[CavityConfig], on_pulse=None) -> list[SearchTrace]:
     """Run compatible cavities as the rows of one array; one trace each.
 
     Every config must have the same ``_batch_key``.  The circulating
@@ -270,13 +266,11 @@ def _run_batch(
     row-wise, so each row's trace is bit-identical to running its config
     alone.  After measuring pulse ``row`` the loop calls
     ``on_pulse(row, intensities)`` with the ``(B, n)`` centered
-    intensities, a buffer the next pulse overwrites.  ``record_profiles``
-    is the consumer that copies them into the traces' ``profiles``, so
-    it excludes ``on_pulse``; without it the ``profiles`` are ``None``.
-    A row's slit energy is ``np.sum(line * overlap)`` of its intensity
-    line and slit overlap, with the product written into one reused
-    buffer: the operands and the full-length sum of a recorded profile,
-    so the same bits.
+    intensities, a buffer the next pulse overwrites.  A row's slit
+    energy is ``np.sum(line * overlap)`` of its intensity line and slit
+    overlap, with the product written into one reused buffer: the
+    operands and the full-length sum of a handed-off profile, so the
+    same bits.
     """
     first = configs[0]
     if any(_batch_key(config) != _batch_key(first) for config in configs):
@@ -291,15 +285,6 @@ def _run_batch(
     half = (n + 1) // 2  # fftshift moves samples [half, n) to the front
 
     iteration_counts, compensation = _pulse_counts(first)
-    profiles = None
-    if record_profiles:
-        if on_pulse is not None:
-            raise ValueError("record_profiles and on_pulse are exclusive")
-        profiles = np.empty((rows, n_pulses, n))
-
-        def on_pulse(row: int, intensities: np.ndarray) -> None:
-            profiles[:, row] = intensities
-
     peak_positions = np.empty((rows, n_pulses))
     peak_values = np.empty((rows, n_pulses))
     energies = np.empty((rows, n_pulses))
@@ -355,7 +340,6 @@ def _run_batch(
         SearchTrace(
             grid=first.grid,
             iteration_counts=iteration_counts.copy(),
-            profiles=None if profiles is None else profiles[b],
             peak_positions=peak_positions[b],
             peak_values=peak_values[b],
             compensation=compensation.copy(),
@@ -367,9 +351,7 @@ def _run_batch(
     ]
 
 
-def run_search(
-    config: CavityConfig, record_profiles: bool = True, on_pulse=None
-) -> SearchTrace:
+def run_search(config: CavityConfig, on_pulse=None) -> SearchTrace:
     """Run the full cavity experiment and record every output pulse.
 
     This is ``_run_batch`` with a batch of one.  The circulating field
@@ -378,13 +360,12 @@ def run_search(
     image (upright orientation, via the forward half pass), then
     completes the roundtrip with the mirrored backward half pass to
     advance the field.  Both plates act once per half pass with the same
-    mask, so each phasor is built once, before the pulse loop.  With
-    ``record_profiles`` false the trace keeps only the per-pulse
-    measurements, the slit energies among them, and its ``profiles`` is
-    ``None``; ``on_pulse`` may then take each pulse's ``(1, n)``
-    intensity as the loop measures it (see ``_run_batch``).
+    mask, so each phasor is built once, before the pulse loop.  The trace
+    keeps the per-pulse measurements; ``on_pulse``, if given, takes each
+    pulse's ``(1, n)`` intensity as the loop measures it (see
+    ``_run_batch``).
     """
-    return _run_batch([config], record_profiles, on_pulse)[0]
+    return _run_batch([config], on_pulse)[0]
 
 
 def pulse_train(config: CavityConfig) -> list[tuple[float, float]]:
@@ -394,7 +375,7 @@ def pulse_train(config: CavityConfig) -> list[tuple[float, float]]:
     ``config.slit_window`` (see ``SearchTrace``).  The loop measures them
     pulse by pulse, so no profile is kept.
     """
-    trace = run_search(config, record_profiles=False)
+    trace = run_search(config)
     return [
         (float(count), float(energy))
         for count, energy in zip(trace.iteration_counts, trace.slit_energies)

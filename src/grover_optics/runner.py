@@ -31,8 +31,6 @@ import itertools
 import json
 import math
 import os
-import queue
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, suppress
 from dataclasses import asdict
@@ -326,33 +324,6 @@ def _write_table(path: Path, header: str, columns) -> None:
 _PROFILES_HEADER = b"iteration_count,x_m,intensity,compensated_intensity\n"
 
 
-def _write_profiles(paths: list[Path], cavity, pulses) -> None:
-    """Write ``profiles.csv`` to each of ``paths`` a pulse at a time.
-
-    ``pulses`` yields ``(row, intensities)`` in row order, the centered
-    intensities of pulse ``row`` of ``cavity`` (or of cavities that
-    share its ``_batch_key``), one row per path.  Each pulse adds its
-    group of rows to every file: the pulse's iteration count, the grid
-    coordinates, the intensity and the intensity times the pulse's
-    compensation factor.
-    """
-    counts, compensation = _pulse_counts(cavity)
-    coordinates = cavity.grid.coordinates
-    table = _TableWriter(coordinates.size, 2)
-    count_cells, coordinate_cells = table.format(counts[:, None]), table.format(coordinates)
-    with ExitStack() as stack:
-        files = [stack.enter_context(open(path, "wb")) for path in paths]
-        for fh in files:
-            fh.write(_PROFILES_HEADER)
-        for row, intensities in pulses:
-            # A lossless pulse's compensated column is its intensity
-            # (line * 1.0 is line, bit for bit): one column to format.
-            factor = None if compensation[row] == 1.0 else compensation[row:row + 1]
-            for fh, line in zip(files, intensities):
-                compensated = (line,) if factor is None else (line, factor)
-                table.write(fh, [count_cells[row], coordinate_cells, (line,), compensated])
-
-
 def _write_summary(path: Path, summary: dict) -> None:
     """Write ``summary`` as strict JSON: a nan or inf raises ValueError
     rather than becoming a bare ``NaN`` or ``Infinity`` token."""
@@ -515,52 +486,58 @@ def _while_writing_profiles(kernel, cavities: list, paths: list[Path]) -> list:
     thread, while one writer thread writes their ``profiles.csv`` files
     to ``paths``; returns the loop's traces.
 
-    The loop copies each pulse's intensities into one of
-    ``_HANDOFF_ROWS`` buffers, waiting while the writer holds them all,
-    and the writer hands each buffer back once its rows are written.  A
-    writer error stops the loop at its next pulse and is raised here; a
-    loop error, or an interrupt, stops the writer after the pulses
-    already handed over.  Either way the writer thread has ended when
-    this returns.  The files are written under temporary sibling names
-    and moved onto ``paths`` only once the loop and the writer have both
-    succeeded; on any error the temporaries are removed, so a failed run
-    leaves no ``profiles.csv``.
+    Each file holds, per pulse, one group of rows: the pulse's iteration
+    count, the grid coordinates, the intensity and the intensity times
+    the pulse's compensation factor.  The writer's set-up is its first
+    task, and each pulse is one more, which writes that pulse's rows to
+    every file.  The loop copies each pulse's ``(B, n)`` intensities into
+    one of ``_HANDOFF_ROWS`` buffers, and once that many pulses are
+    pending it first waits for the oldest, whose buffer it refills.  A
+    writer error is raised at the loop's next wait, so it stops the loop
+    within ``_HANDOFF_ROWS`` pulses; a loop error, or an interrupt, stops
+    the writer after the pulses already handed over.  Either way the
+    writer thread has ended when this returns.  The files are written
+    under temporary sibling names and moved onto ``paths`` only once the
+    loop and the writer have both succeeded; on any error the
+    temporaries are removed, so a failed run leaves no ``profiles.csv``.
     """
     temporaries = [path.with_name(path.name + ".tmp") for path in paths]
-    filled, free = queue.SimpleQueue(), queue.SimpleQueue()
-    for _ in range(_HANDOFF_ROWS):
-        free.put(np.empty((len(cavities), cavities[0].grid.n_samples)))
-    failed: list[BaseException] = []
+    buffers = [np.empty((len(cavities), cavities[0].grid.n_samples))
+               for _ in range(_HANDOFF_ROWS)]
+    pending = []  # the pulses' futures, oldest first
 
-    def handed_over():
-        for row, buffer in iter(filled.get, None):
-            yield row, buffer
-            free.put(buffer)
+    def set_up(files: ExitStack) -> tuple:
+        counts, compensation = _pulse_counts(cavities[0])
+        coordinates = cavities[0].grid.coordinates
+        table = _TableWriter(coordinates.size, 2)
+        cells = table.format(counts[:, None]), table.format(coordinates)
+        handles = [files.enter_context(open(path, "wb")) for path in temporaries]
+        for fh in handles:
+            fh.write(_PROFILES_HEADER)
+        return table, cells, compensation, handles
 
-    def write() -> None:
-        try:
-            _write_profiles(temporaries, cavities[0], handed_over())
-        except BaseException as err:  # re-raised on the loop's thread
-            failed.append(err)
-            free.put(None)  # wakes a loop waiting for a buffer
+    def write(row: int, intensities: np.ndarray) -> None:
+        table, (count_cells, coordinate_cells), compensation, handles = setup.result()
+        # A lossless pulse's compensated column is its intensity
+        # (line * 1.0 is line, bit for bit): one column to format.
+        factor = None if compensation[row] == 1.0 else compensation[row:row + 1]
+        for fh, line in zip(handles, intensities):
+            compensated = (line,) if factor is None else (line, factor)
+            table.write(fh, [count_cells[row], coordinate_cells, (line,), compensated])
 
     def hand_off(row: int, intensities: np.ndarray) -> None:
-        buffer = free.get()
-        if failed:
-            raise failed[0]
+        if len(pending) == _HANDOFF_ROWS:
+            pending.pop(0).result()
+        buffer = buffers[row % _HANDOFF_ROWS]
         np.copyto(buffer, intensities)
-        filled.put((row, buffer))
+        pending.append(writer.submit(write, row, buffer))
 
-    writer = threading.Thread(target=write, name="profiles-writer")
-    writer.start()
     try:
-        try:
+        with ExitStack() as files, ThreadPoolExecutor(1, "profiles-writer") as writer:
+            setup = writer.submit(set_up, files)
             traces = kernel(hand_off)
-        finally:
-            filled.put(None)
-            writer.join()
-        if failed:
-            raise failed[0]
+            for future in pending:
+                future.result()
         for temporary, path in zip(temporaries, paths):
             os.replace(temporary, path)
     except BaseException:
@@ -603,7 +580,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     cavity = cfg.to_cavity_config()
     summary, = _run_points(
         [cfg], [cavity], [out],
-        lambda on_pulse: [run_search(cavity, record_profiles=False, on_pulse=on_pulse)],
+        lambda on_pulse: [run_search(cavity, on_pulse=on_pulse)],
     )
     return summary
 
@@ -710,7 +687,7 @@ def sweep(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         for point_dir in point_dirs:
             point_dir.mkdir(exist_ok=True)
         return _run_points([point_configs[i] for i in chunk], batch, point_dirs,
-                           lambda on_pulse: _run_batch(batch, False, on_pulse))
+                           lambda on_pulse: _run_batch(batch, on_pulse))
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:

@@ -13,7 +13,7 @@ else:
     settings.register_profile("ci", derandomize=True, deadline=None)
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
-from grover_optics import CavityConfig, LossModel, TrapezoidPhasePlate
+from grover_optics import CavityConfig, LossModel, TrapezoidPhasePlate, cavity
 
 # Measured-plate experiment values: oracle flat widths with the ramp
 # each wire shadow produces, all at -1.1 rad per pass.
@@ -62,13 +62,22 @@ def ideal_cavity(flat_um: float = 42.0, n_pulses: int = 30, **overrides) -> Cavi
     return CavityConfig(**kwargs)
 
 
-def compensated_rows(trace, loss_factor: float) -> np.ndarray:
+def recorded(configs: list) -> tuple[list, np.ndarray]:
+    """The traces of the pulse loop over ``configs`` (``_run_batch``) and
+    the ``(B, P, n)`` profiles it hands to ``on_pulse``, each pulse copied
+    before the loop overwrites it."""
+    pulses = []
+    traces = cavity._run_batch(configs, lambda row, intensities: pulses.append(intensities.copy()))
+    return traces, np.stack(pulses, axis=1)
+
+
+def compensated_rows(trace, profiles: np.ndarray, loss_factor: float) -> np.ndarray:
     """The ``compensated_intensity`` column of ``profiles.csv``, unformatted,
     one row per pulse: ``profile * loss_factor ** (-count)``, with ``count``
     the trace's float64 iteration count, as the writer computes it."""
     return np.array([
         profile * loss_factor ** (-count)
-        for count, profile in zip(trace.iteration_counts, trace.profiles)
+        for count, profile in zip(trace.iteration_counts, profiles)
     ])
 
 

@@ -182,7 +182,7 @@ def test_criterion_8_conservation_suite():
     # ... and the lossless cavity conserves energy over 30 roundtrips:
     # every recorded pulse of the unit-energy input carries the output
     # coupling's share of it
-    trace = run_search(cavity, record_profiles=False)
+    trace = run_search(cavity)
     assert trace.n_pulses == 30
     np.testing.assert_allclose(
         trace.total_energies, cavity.output_mirror_transmission, rtol=1e-9

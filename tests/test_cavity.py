@@ -18,7 +18,7 @@ from grover_optics import (
 )
 
 import oracle
-from conftest import PAPER_PLATES, compensated_rows, ideal_cavity, paper_cavity
+from conftest import PAPER_PLATES, compensated_rows, ideal_cavity, paper_cavity, recorded
 
 
 def disabled_cavity(**overrides) -> CavityConfig:
@@ -37,9 +37,9 @@ class TestHalfPassForward:
     # and half the roundtrip loss.
     def test_flat_plates_reduce_to_the_loss(self):
         config = disabled_cavity(n_pulses=1, output_mirror_transmission=1.0)
-        trace = run_search(config)
+        _, (profiles,) = recorded([config])
         expected = 0.75**0.5 * np.abs(oracle.gaussian(config)) ** 2
-        assert np.max(np.abs(trace.profiles[0] - expected)) < 1e-10 * np.max(expected)
+        assert np.max(np.abs(profiles[0] - expected)) < 1e-10 * np.max(expected)
 
     def test_energy_drops_by_half_roundtrip(self):
         config = paper_cavity(42.0, n_pulses=1, output_mirror_transmission=1.0)
@@ -50,7 +50,7 @@ class TestGroverIterate:
     # One roundtrip of the pulse loop, seen from pulse to pulse.
     def test_identity_when_plates_and_loss_disabled(self):
         config = disabled_cavity(loss=LossModel(1.0), n_pulses=2)
-        profiles = run_search(config).profiles
+        _, (profiles,) = recorded([config])
         assert np.max(np.abs(profiles[1] - profiles[0])) < 1e-10 * np.max(profiles[0])
 
     def test_energy_scaling_per_roundtrip(self):
@@ -61,17 +61,17 @@ class TestGroverIterate:
         config = ideal_cavity(42.0, n_pulses=5)
         mask = np.abs(config.grid.coordinates - 150e-6) <= 21e-6
         fractions = [np.sum(profile[mask]) / np.sum(profile)
-                     for profile in run_search(config).profiles]
+                     for profile in recorded([config])[1][0]]
         assert all(a < b for a, b in zip(fractions, fractions[1:]))
 
 
 class TestRunSearch:
     def test_trace_layout(self):
         config = paper_cavity(42.0)
-        trace = run_search(config)
+        (trace,), (profiles,) = recorded([config])
         assert trace.n_pulses == 12
-        assert trace.profiles.shape == (12, config.grid.n_samples)
-        assert compensated_rows(trace, 0.75).shape == trace.profiles.shape
+        assert profiles.shape == (12, config.grid.n_samples)
+        assert compensated_rows(trace, profiles, 0.75).shape == profiles.shape
         assert trace.compensation.tolist() == [0.75 ** -c for c in trace.iteration_counts]
         assert np.allclose(trace.iteration_counts, np.arange(12) + 0.5)
         assert np.all(np.diff(trace.iteration_counts) == 1.0)
@@ -87,8 +87,8 @@ class TestRunSearch:
 
     def test_compensation_exactly_cancels_decay(self):
         config = paper_cavity(84.0)
-        trace = run_search(config)
-        compensated = compensated_rows(trace, config.loss.roundtrip_energy_factor)
+        (trace,), (profiles,) = recorded([config])
+        compensated = compensated_rows(trace, profiles, config.loss.roundtrip_energy_factor)
         energies = np.sum(compensated, axis=1) * config.grid.pitch
         assert np.allclose(energies, 0.02, rtol=1e-9)
 
@@ -96,17 +96,17 @@ class TestRunSearch:
         config = disabled_cavity(
             loss=LossModel(1.0), output_mirror_transmission=1.0, n_pulses=3
         )
-        trace = run_search(config)
+        _, (profiles,) = recorded([config])
         reference = np.abs(oracle.gaussian(config)) ** 2
         scale = float(np.max(reference))
         for row in range(3):
-            assert np.max(np.abs(trace.profiles[row] - reference)) < 1e-9 * scale
+            assert np.max(np.abs(profiles[row] - reference)) < 1e-9 * scale
 
     def test_first_pulse_is_a_phase_contrast_image(self):
-        lit = run_search(paper_cavity(42.0, n_pulses=1))
-        dark = run_search(disabled_cavity(n_pulses=1))
+        (lit,), (lit_profiles,) = recorded([paper_cavity(42.0, n_pulses=1)])
+        (dark,), (dark_profiles,) = recorded([disabled_cavity(n_pulses=1)])
         on_flat = np.abs(paper_cavity(42.0).grid.coordinates - 150e-6) <= 21e-6
-        enhancement = lit.profiles[0][on_flat].mean() / dark.profiles[0][on_flat].mean()
+        enhancement = lit_profiles[0][on_flat].mean() / dark_profiles[0][on_flat].mean()
         assert enhancement > 2.0
         # the plates only move energy around; totals agree
         assert lit.total_energies[0] == pytest.approx(dark.total_energies[0], rel=1e-9)
@@ -117,14 +117,14 @@ class TestRunSearch:
         # the double oracle pass, a second IAA pass, and one roundtrip
         # of amplitude loss.
         config = paper_cavity(42.0, n_pulses=2)
-        trace = run_search(config)
+        _, (profiles,) = recorded([config])
         once, iaa = oracle.plate_phasors(config)
         twice = oracle.plate_phasors(config, passes=2)[0]
         upright_1 = oracle.half_pass(once * oracle.gaussian(config), iaa, 0.75**0.25)
         step = oracle.half_pass(twice * oracle.half_pass(upright_1, iaa, 1.0), iaa, 1.0)
         predicted = 0.02 * (0.75**0.5 * np.abs(step)) ** 2
-        scale = float(np.max(trace.profiles[1]))
-        assert np.max(np.abs(trace.profiles[1] - predicted)) < 1e-10 * scale
+        scale = float(np.max(profiles[1]))
+        assert np.max(np.abs(profiles[1] - predicted)) < 1e-10 * scale
 
     @pytest.mark.parametrize("preset", ["paper-42um", "ideal"])
     def test_first_pulse_is_the_recorded_half_pass_bit_for_bit(self, preset):
@@ -132,12 +132,12 @@ class TestRunSearch:
         # in FFT-native order, so the first recorded pulse is exactly the
         # upright half pass of the chain.
         config = build_config({"preset": preset, "grid_samples": 4096}).to_cavity_config()
-        trace = run_search(config)
+        _, (profiles,) = recorded([config])
         once, iaa = oracle.plate_phasors(config)
         scale = config.loss.roundtrip_energy_factor ** (0.5 / 2.0)
         out = oracle.half_pass(np.multiply(once, oracle.gaussian(config)), iaa, scale)
         expected = config.output_mirror_transmission * np.abs(out) ** 2
-        assert np.array_equal(trace.profiles[0], expected)
+        assert np.array_equal(profiles[0], expected)
 
     @pytest.mark.parametrize("n_samples", [4096, 16384])
     @pytest.mark.parametrize("preset", ["paper-42um", "ideal"])
@@ -165,11 +165,12 @@ class TestRunSearch:
                 idx in (0, n - 1),
             ))
 
-        trace = run_search(config)
+        (trace,), (profiles,) = recorded([config])
         names = ("profiles", "peak_positions", "peak_values", "compensated_peak_values",
                  "total_energies", "slit_energies", "peak_at_edge")
         for name, expected in zip(names, zip(*rows)):
-            assert np.array_equal(getattr(trace, name), np.array(expected)), name
+            got = profiles if name == "profiles" else getattr(trace, name)
+            assert np.array_equal(got, np.array(expected)), name
 
     def test_pulse_loop_does_not_use_the_field_chain(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -213,7 +214,7 @@ class TestRunSearch:
         monkeypatch.setattr(elements, "phase_profile", counted)
         configs = [paper_cavity(flat_um, n_pulses=2, grid=Grid1D(4096, 2e-6))
                    for flat_um in sorted(PAPER_PLATES)]
-        cavity._run_batch(configs, record_profiles=False)
+        cavity._run_batch(configs)
         assert calls == [config.oracle_plate for config in configs] + [configs[0].iaa_plate]
 
     def test_analyze_sweep_points_batched_equal_single_runs_bit_for_bit(self):
@@ -226,19 +227,20 @@ class TestRunSearch:
             for flat_um in (42.0, 84.0, 126.0)
             for center_um in (-450.0, -150.0, 150.0, 450.0)
         ]
-        names = ("iteration_counts", "profiles", "peak_positions", "peak_values",
+        names = ("iteration_counts", "peak_positions", "peak_values",
                  "compensated_peak_values", "total_energies", "slit_energies",
                  "peak_at_edge")
-        batch = cavity._run_batch(configs, record_profiles=True)
-        for config, batched in zip(configs, batch):
-            single = run_search(config)
+        batch, batch_profiles = recorded(configs)
+        for config, batched, profiles in zip(configs, batch, batch_profiles):
+            (single,), (single_profiles,) = recorded([config])
+            assert np.array_equal(profiles, single_profiles)
             for name in names:
                 assert np.array_equal(getattr(batched, name), getattr(single, name)), name
 
     def test_batch_rejects_cavities_that_differ_beyond_the_oracle(self):
         configs = [paper_cavity(42.0, n_pulses=2), paper_cavity(84.0, n_pulses=3)]
         with pytest.raises(ValueError, match="oracle plate and input FWHM"):
-            cavity._run_batch(configs, record_profiles=False)
+            cavity._run_batch(configs)
 
     def test_lossless_cavity_conserves_recorded_energy(self):
         config = ideal_cavity(42.0, n_pulses=10)

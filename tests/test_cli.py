@@ -10,8 +10,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from grover_optics import build_config, cavity, cli, pulse_train, run_search, runner
+from grover_optics import build_config, cavity, cli, pulse_train, runner
 from grover_optics.cli import main
+
+from conftest import recorded
 
 SMALL_GRID = {"grid_samples": 4096, "grid_pitch_um": 2.0}
 
@@ -221,8 +223,7 @@ class TestPulseTrainCommand:
         trace = SimpleNamespace(iteration_counts=np.array([0.5, 1.5, 2.5]),
                                 slit_energies=np.array([0.0, 2e-4, 1e-4]),
                                 total_energies=np.array([1e-3, 1e-3, 1e-3]))
-        monkeypatch.setattr(runner, "run_search",
-                            lambda cavity, record_profiles, on_pulse: trace)
+        monkeypatch.setattr(runner, "run_search", lambda cavity, on_pulse: trace)
         cfg = write_config(tmp_path, preset="paper-42um", **SMALL_GRID)
         out = tmp_path / "out"
         assert main(["pulse-train", "--config", str(cfg), "--out", str(out)]) == 0
@@ -470,12 +471,13 @@ def main_on_a_thread(argv, timeout=120):
 
 
 def serial_profiles(config, path):
-    """``profiles.csv`` of ``config``'s recorded profiles, written on this
-    thread after the pulse loop has ended."""
+    """``profiles.csv`` of ``config``'s recorded profiles, handed to the
+    writer after the pulse loop has ended."""
     cavity_config = config.to_cavity_config()
-    profiles = run_search(cavity_config).profiles
-    runner._write_profiles([path], cavity_config,
-                           ((row, profile[None]) for row, profile in enumerate(profiles)))
+    _, (profiles,) = recorded([cavity_config])
+    runner._while_writing_profiles(
+        lambda on_pulse: [on_pulse(row, profile[None]) for row, profile in enumerate(profiles)],
+        [cavity_config], [path])
     return path.read_bytes()
 
 
@@ -494,14 +496,16 @@ class TestProfileWriterThread:
     loop runs; neither side may hang the other or outlive the call."""
 
     def test_unwritable_profiles_exits_4_without_hanging(self, tmp_path, capsys):
-        # The writer fails at once; a loop blocked on a full hand-off
-        # would wait for it forever.
+        # With profiles.csv a directory, the writer writes the temporary
+        # and the whole pulse loop runs; then os.replace cannot move the
+        # temporary onto the directory, and the temporary is removed.
         out = tmp_path / "out"
         (out / "profiles.csv").mkdir(parents=True)
         cfg = write_config(tmp_path, preset="paper-42um", **SMALL_GRID)
         assert main_on_a_thread(["run", "--config", str(cfg), "--out", str(out)]) == {"code": 4}
         assert "profiles.csv" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+        assert not (out / "profiles.csv.tmp").exists()
 
     def test_unwritable_temporary_exits_4_without_hanging(self, tmp_path, capsys):
         # profiles.csv is written under a temporary name first: the real
@@ -514,17 +518,40 @@ class TestProfileWriterThread:
         assert list(out.iterdir()) == [out / "profiles.csv.tmp"]
 
     def test_writer_error_wakes_a_waiting_loop(self, tmp_path, monkeypatch, capsys):
-        # By the time this writer fails, the loop has filled both
-        # hand-off buffers and waits for one to come back.
-        def fail_later(paths, cavity_config, pulses):
+        # By the time this writer fails, the loop has handed over
+        # _HANDOFF_ROWS pulses and waits on the oldest one's future.
+        def fail_later(table, fh, columns):
             time.sleep(0.5)
             raise OSError("disk full")
 
-        monkeypatch.setattr(runner, "_write_profiles", fail_later)
+        monkeypatch.setattr(runner._TableWriter, "write", fail_later)
         cfg = write_config(tmp_path, preset="paper-42um", **SMALL_GRID)
         out = tmp_path / "out"
         assert main_on_a_thread(["run", "--config", str(cfg), "--out", str(out)]) == {"code": 4}
         assert "disk full" in capsys.readouterr().err
+
+    def test_writer_error_stops_the_loop_at_its_next_wait(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # The writer fails on pulse 0; the loop runs on until it waits on
+        # that pulse's future, with _HANDOFF_ROWS more pulses handed over.
+        measured = []
+        original = cavity._lobe_center
+
+        def count(intensity, coords, idx):
+            measured.append(idx)
+            return original(intensity, coords, idx)
+
+        def fail(table, fh, columns):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cavity, "_lobe_center", count)
+        monkeypatch.setattr(runner._TableWriter, "write", fail)
+        cfg = write_config(tmp_path, preset="paper-42um", n_pulses=12, **SMALL_GRID)
+        out = tmp_path / "out"
+        assert main_on_a_thread(["run", "--config", str(cfg), "--out", str(out)]) == {"code": 4}
+        assert "disk full" in capsys.readouterr().err
+        assert 1 <= len(measured) <= runner._HANDOFF_ROWS + 1
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_loop_error_stops_the_writer(self, tmp_path, monkeypatch, error):

@@ -47,6 +47,7 @@ from grover_optics.fields import _reverse_about_zero  # noqa: E402
 from grover_optics.runner import _CellFormatter  # noqa: E402
 
 import oracle  # noqa: E402
+from conftest import recorded  # noqa: E402
 
 sizes = st.integers(min_value=4, max_value=12).map(lambda k: 2**k)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -86,7 +87,7 @@ def test_native_half_pass_is_the_field_chain_bit_for_bit(n, seed, factor):
     assert np.array_equal(native, np.fft.ifftshift(chain))
 
 
-TRACE_FIELDS = ("iteration_counts", "profiles", "peak_positions", "peak_values",
+TRACE_FIELDS = ("iteration_counts", "peak_positions", "peak_values",
                 "compensated_peak_values", "total_energies", "slit_energies",
                 "peak_at_edge")
 
@@ -94,9 +95,8 @@ TRACE_FIELDS = ("iteration_counts", "profiles", "peak_positions", "peak_values",
 @settings(deadline=None)
 @given(n=sizes, rows=st.integers(min_value=1, max_value=5), seed=seeds,
        factor=st.floats(min_value=0.05, max_value=1.0),
-       n_pulses=st.integers(min_value=1, max_value=3), record=st.booleans())
-def test_batched_kernel_is_the_one_row_kernel_bit_for_bit(n, rows, seed, factor,
-                                                          n_pulses, record):
+       n_pulses=st.integers(min_value=1, max_value=3))
+def test_batched_kernel_is_the_one_row_kernel_bit_for_bit(n, rows, seed, factor, n_pulses):
     # Plates that fit any of these grids, told apart by their depth; the
     # kernel sees random phasors in their place (a plate phasor is 1 off
     # its support, where the operand order of a multiply cannot show).
@@ -119,14 +119,13 @@ def test_batched_kernel_is_the_one_row_kernel_bit_for_bit(n, rows, seed, factor,
     ]
     with mock.patch.object(cavity, "plate_phasor",
                            lambda plate, grid, passes: phasors[plate]):
-        batch = cavity._run_batch(configs, record)
-        singles = [cavity._run_batch([config], record)[0] for config in configs]
-    for batched, single in zip(batch, singles):
+        batch, batch_profiles = recorded(configs)
+        singles = [recorded([config]) for config in configs]
+    for batched, profiles, ((single,), (single_profiles,)) in zip(batch, batch_profiles,
+                                                                   singles):
+        assert np.array_equal(profiles, single_profiles)
         for name in TRACE_FIELDS:
-            if name == "profiles" and not record:
-                assert batched.profiles is None and single.profiles is None
-            else:
-                assert np.array_equal(getattr(batched, name), getattr(single, name)), name
+            assert np.array_equal(getattr(batched, name), getattr(single, name)), name
 
 
 def slit_center(where: str, grid: Grid1D) -> float:
@@ -143,9 +142,8 @@ def slit_center(where: str, grid: Grid1D) -> float:
 @given(n=sizes, seed=seeds,
        slits=st.lists(st.tuples(st.sampled_from(["on", "far", "edge"]),
                                 st.floats(min_value=0.3, max_value=30.0)),
-                      min_size=1, max_size=4),
-       record=st.booleans())
-def test_loop_slit_energy_is_the_profile_sum_bit_for_bit(n, seed, slits, record):
+                      min_size=1, max_size=4))
+def test_loop_slit_energy_is_the_profile_sum_bit_for_bit(n, seed, slits):
     # Each row has its own slit, ``pitches`` sample cells wide; random
     # plate phasors give the intensity structure.
     grid = Grid1D(n, 2e-6)
@@ -167,12 +165,13 @@ def test_loop_slit_energy_is_the_profile_sum_bit_for_bit(n, seed, slits, record)
     ]
     with mock.patch.object(cavity, "plate_phasor",
                            lambda plate, grid, passes: phasors[plate]):
-        loop = cavity._run_batch(configs, record)
-        recorded = cavity._run_batch(configs, True)
-    for config, measured, traced in zip(configs, loop, recorded):
+        loop = cavity._run_batch(configs)
+        traced, profiles = recorded(configs)
+    for config, measured, kept, rows in zip(configs, loop, traced, profiles):
         overlap = _window_overlap(grid, *config.slit_window)
-        expected = [np.sum(profile * overlap) for profile in traced.profiles]
+        expected = [np.sum(profile * overlap) for profile in rows]
         assert measured.slit_energies.tolist() == expected
+        assert kept.slit_energies.tolist() == expected
 
 
 @settings(deadline=None)

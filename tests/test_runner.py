@@ -18,11 +18,11 @@ from grover_optics.runner import (
     _POW10,
     _CellFormatter,
     _batch_chunks,
-    _write_profiles,
+    _while_writing_profiles,
     _write_table,
 )
 
-from conftest import paper_cavity
+from conftest import paper_cavity, recorded
 
 EDGE_VALUES = [
     np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300,
@@ -100,8 +100,9 @@ def column_stacked_profiles(cavity, profiles):
 
 def streamed_profiles_bytes(path, cavity, profiles):
     """``profiles.csv`` as the writer thread writes it, pulse by pulse."""
-    _write_profiles([path], cavity,
-                    ((row, profile[None]) for row, profile in enumerate(profiles)))
+    _while_writing_profiles(
+        lambda on_pulse: [on_pulse(row, profile[None]) for row, profile in enumerate(profiles)],
+        [cavity], [path])
     return path.read_bytes()
 
 
@@ -118,7 +119,8 @@ def test_profile_blocks_match_savetxt_across_block_edges(tmp_path, n_samples, lo
     cavity = SimpleNamespace(
         n_pulses=3,
         loss=SimpleNamespace(roundtrip_energy_factor=loss_factor),
-        grid=SimpleNamespace(coordinates=np.linspace(-1e-3, 1e-3, n_samples)),
+        grid=SimpleNamespace(coordinates=np.linspace(-1e-3, 1e-3, n_samples),
+                             n_samples=n_samples),
     )
     profiles = edge_table(3, n_samples, seed=n_samples)
     expected = savetxt_bytes(tmp_path / "expected.csv", PROFILE_HEADER,
@@ -145,7 +147,7 @@ def test_preformatted_columns_match_savetxt_at_their_own_widths(tmp_path):
 
 def test_profile_blocks_match_savetxt_on_a_search_trace(tmp_path):
     config = paper_cavity(42.0, n_pulses=4, grid=Grid1D(4096, 2e-6))
-    profiles = run_search(config).profiles
+    _, (profiles,) = recorded([config])
     expected = savetxt_bytes(tmp_path / "expected.csv", PROFILE_HEADER,
                              column_stacked_profiles(config, profiles))
     assert streamed_profiles_bytes(tmp_path / "got.csv", config, profiles) == expected
@@ -215,8 +217,6 @@ def test_no_run_mode_keeps_profiles(tmp_path, monkeypatch):
     runner.run(small_run_config("search"), tmp_path / "search")
     runner.run(small_run_config("analyze"), tmp_path / "analyze")
     (search, search_trace), (analyze, analyze_trace) = calls
-    assert search_trace.profiles is None and analyze_trace.profiles is None
-    assert search["record_profiles"] is False and analyze["record_profiles"] is False
     assert callable(search["on_pulse"]) and analyze["on_pulse"] is None
     assert len((tmp_path / "search" / "profiles.csv").read_bytes().splitlines()) == 1 + 12 * 4096
 
