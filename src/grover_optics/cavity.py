@@ -57,13 +57,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .elements import (
-    LossModel,
-    TrapezoidPhasePlate,
-    _window_overlap,
-    check_plate_fits,
-    plate_phasor,
-)
+from .elements import TrapezoidPhasePlate, _window_overlap, check_plate_fits, plate_phasor
 from .errors import ConfigurationError
 from .fields import FourierGrid, Grid1D, _reverse_about_zero, gaussian_input
 
@@ -91,7 +85,10 @@ class CavityConfig:
     intensity FWHM, a 400 mm first lens (whose Fourier frame every
     transform uses), 25% roundtrip energy loss, 2% output coupling, a
     55 um detection slit on the image of the oracle line, and a
-    16384-sample grid at 2 um pitch.  ``slit_center`` None means the
+    16384-sample grid at 2 um pitch.  ``roundtrip_energy_factor`` is the
+    fraction of the pulse energy a roundtrip keeps and
+    ``output_mirror_transmission`` the fraction the output mirror
+    records; both lie in (0, 1].  ``slit_center`` None means the
     oracle plate's center; ``slit_window`` is the window it gives, and
     the one every pulse's slit energy integrates over.
     """
@@ -101,7 +98,7 @@ class CavityConfig:
     wavelength: float = 532e-9
     input_fwhm: float = 1.33e-3
     focal_length_1: float = 0.400
-    loss: LossModel = LossModel(0.75)
+    roundtrip_energy_factor: float = 0.75
     output_mirror_transmission: float = 0.02
     slit_center: float | None = None
     slit_width: float = 55e-6
@@ -114,11 +111,11 @@ class CavityConfig:
                 raise ConfigurationError(
                     f"{name} must be positive, got {getattr(self, name)}"
                 )
-        if not (0 < self.output_mirror_transmission <= 1):
-            raise ConfigurationError(
-                "output_mirror_transmission must lie in (0, 1], got "
-                f"{self.output_mirror_transmission}"
-            )
+        for name in ("roundtrip_energy_factor", "output_mirror_transmission"):
+            if not (0 < getattr(self, name) <= 1):
+                raise ConfigurationError(
+                    f"{name} must lie in (0, 1], got {getattr(self, name)}"
+                )
         if self.n_pulses < 1:
             raise ConfigurationError(f"n_pulses must be >= 1, got {self.n_pulses}")
         if not (self.input_fwhm < self.grid.extent / 2):
@@ -163,9 +160,9 @@ class SearchTrace:
     uncompensated energies through ``CavityConfig.slit_window``: each
     sample cell's intensity weighted by the length of it the window
     covers, summed over the whole grid.  ``compensation`` holds pulse
-    j's factor loss^-(j - 0.5), which undoes the uniform decay the way
-    the raw measurement data is rescaled for display;
-    ``compensated_peak_values`` and the compensated profiles of
+    j's factor ``roundtrip_energy_factor ** -(j - 0.5)``, which undoes
+    the uniform decay the way the raw measurement data is rescaled for
+    display; ``compensated_peak_values`` and the compensated profiles of
     ``profiles.csv`` are scaled by it.  Peaks that fall on the first or
     last grid sample are flagged, not fatal.
 
@@ -176,7 +173,6 @@ class SearchTrace:
     beam envelope happens to favor.
     """
 
-    grid: Grid1D
     iteration_counts: np.ndarray
     peak_positions: np.ndarray
     peak_values: np.ndarray
@@ -244,15 +240,16 @@ def _batch_key(config: CavityConfig) -> tuple:
     Only the oracle plate, the input FWHM and the slit may differ
     between rows; each row measures its own slit.
     """
-    return (config.grid, config.wavelength, config.focal_length_1, config.loss,
-            config.output_mirror_transmission, config.n_pulses, config.iaa_plate)
+    return (config.grid, config.wavelength, config.focal_length_1,
+            config.roundtrip_energy_factor, config.output_mirror_transmission,
+            config.n_pulses, config.iaa_plate)
 
 
 def _pulse_counts(config: CavityConfig) -> tuple[np.ndarray, np.ndarray]:
     """Pulse j's iteration count j - 0.5 and loss compensation factor
-    loss^-(j - 0.5), for j = 1..``n_pulses``."""
+    roundtrip_energy_factor^-(j - 0.5), for j = 1..``n_pulses``."""
     counts = np.arange(1, config.n_pulses + 1) - 0.5
-    loss_factor = config.loss.roundtrip_energy_factor
+    loss_factor = config.roundtrip_energy_factor
     return counts, np.array([loss_factor ** (-count) for count in counts])
 
 
@@ -278,7 +275,7 @@ def _run_batch(configs: list[CavityConfig], on_pulse=None) -> list[SearchTrace]:
             "batched cavities may differ only in slit, oracle plate and input FWHM"
         )
     rows, n, n_pulses = len(configs), first.grid.n_samples, first.n_pulses
-    scale = first.loss.roundtrip_energy_factor ** (0.5 / 2.0)
+    scale = first.roundtrip_energy_factor ** (0.5 / 2.0)
     transmission = first.output_mirror_transmission
     pitch = first.grid.pitch
     coords = first.grid.coordinates
@@ -292,9 +289,9 @@ def _run_batch(configs: list[CavityConfig], on_pulse=None) -> list[SearchTrace]:
     at_edge = np.zeros((rows, n_pulses), dtype=bool)
 
     oracle = np.fft.ifftshift(
-        np.stack([plate_phasor(c.oracle_plate, c.grid, 1) for c in configs]), axes=-1
+        np.stack([plate_phasor(c.oracle_plate, c.grid) for c in configs]), axes=-1
     )
-    iaa = np.fft.ifftshift(plate_phasor(first.iaa_plate, first.fourier_grid.as_grid(), 1))
+    iaa = np.fft.ifftshift(plate_phasor(first.iaa_plate, first.fourier_grid.as_grid()))
     circulating = np.fft.ifftshift(
         np.stack([gaussian_input(c.grid, c.input_fwhm) for c in configs]), axes=-1
     )
@@ -338,7 +335,6 @@ def _run_batch(configs: list[CavityConfig], on_pulse=None) -> list[SearchTrace]:
 
     return [
         SearchTrace(
-            grid=first.grid,
             iteration_counts=iteration_counts.copy(),
             peak_positions=peak_positions[b],
             peak_values=peak_values[b],

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Literal, get_args, get_origin
 
 from .cavity import CavityConfig
-from .elements import LossModel, TrapezoidPhasePlate
+from .elements import TrapezoidPhasePlate
 from .errors import ConfigurationError
 from .fields import Grid1D
 
@@ -100,7 +100,7 @@ class ExperimentConfig:
             wavelength=self.wavelength_nm * 1e-9,
             input_fwhm=self.input_fwhm_mm * 1e-3,
             focal_length_1=self.focal_length_1_mm * 1e-3,
-            loss=LossModel(self.roundtrip_energy_factor),
+            roundtrip_energy_factor=self.roundtrip_energy_factor,
             output_mirror_transmission=self.output_mirror_transmission,
             slit_center=None if self.slit_center_um is None else self.slit_center_um * 1e-6,
             slit_width=self.slit_width_um * 1e-6,

@@ -15,7 +15,6 @@ from .fields import ComplexField, Grid1D
 
 __all__ = [
     "TrapezoidPhasePlate",
-    "LossModel",
     "phase_profile",
     "plate_phasor",
     "apply_plate",
@@ -58,20 +57,6 @@ class TrapezoidPhasePlate:
         return self.flat_width / 2.0 + self.ramp_width
 
 
-@dataclass(frozen=True)
-class LossModel:
-    """Uniform roundtrip energy loss; factor 0.75 means 25% lost."""
-
-    roundtrip_energy_factor: float = 0.75
-
-    def __post_init__(self) -> None:
-        if not (0 < self.roundtrip_energy_factor <= 1):
-            raise ConfigurationError(
-                "roundtrip_energy_factor must lie in (0, 1], got "
-                f"{self.roundtrip_energy_factor}"
-            )
-
-
 def check_plate_fits(plate: TrapezoidPhasePlate, grid: Grid1D, label: str) -> None:
     """Raise ConfigurationError when the plate's support extends past the
     first or last sample of ``grid``, since a clipped plate silently
@@ -106,37 +91,37 @@ def phase_profile(plate: TrapezoidPhasePlate, grid: Grid1D) -> np.ndarray:
     return plate.phase_depth * shape
 
 
-def plate_phasor(plate: TrapezoidPhasePlate, grid: Grid1D, passes: int) -> np.ndarray:
-    """The complex mask exp(i * passes * phase_profile) of a plate on a grid.
-
-    ``passes`` is 1 for a one-way traversal, 2 for the double pass a
-    plate sees per cavity roundtrip.  A plate that acts on many pulses
-    needs its phasor built only once.
-    """
-    if passes not in (1, 2):
-        raise ConfigurationError(f"passes must be 1 or 2, got {passes}")
-    return np.exp(1j * passes * phase_profile(plate, grid))
+def plate_phasor(plate: TrapezoidPhasePlate, grid: Grid1D) -> np.ndarray:
+    """The complex mask exp(i * phase_profile) of one pass through a
+    plate.  A plate that acts on many pulses needs its phasor built only
+    once."""
+    return np.exp(1j * phase_profile(plate, grid))
 
 
 def apply_plate(field: ComplexField, plate: TrapezoidPhasePlate, passes: int) -> ComplexField:
     """Multiply the field by exp(i * passes * phase_profile), phasor first
     (as the pulse loop does; see ``cavity._run_batch``).
 
-    Energy is unchanged.  See :func:`plate_phasor` for ``passes``.
+    ``passes`` is 1 for a one-way traversal, 2 for the double pass a
+    plate sees per cavity roundtrip.  Energy is unchanged.
     """
-    phasor = plate_phasor(plate, field.grid, passes)
+    if passes not in (1, 2):
+        raise ConfigurationError(f"passes must be 1 or 2, got {passes}")
+    phasor = np.exp(1j * passes * phase_profile(plate, field.grid))
     return ComplexField(field.grid, np.multiply(phasor, field.amplitudes))
 
 
 def apply_roundtrip_loss(
-    field: ComplexField, loss: LossModel, fraction_of_roundtrip: float
+    field: ComplexField, roundtrip_energy_factor: float, fraction_of_roundtrip: float
 ) -> ComplexField:
-    """Scale amplitudes so energy drops by factor**fraction_of_roundtrip."""
-    if not (0 < fraction_of_roundtrip <= 1):
-        raise ConfigurationError(
-            f"fraction_of_roundtrip must lie in (0, 1], got {fraction_of_roundtrip}"
-        )
-    scale = loss.roundtrip_energy_factor ** (fraction_of_roundtrip / 2.0)
+    """Scale amplitudes so energy drops by
+    roundtrip_energy_factor**fraction_of_roundtrip; a factor of 0.75
+    loses 25% of the energy per roundtrip."""
+    for name, value in (("roundtrip_energy_factor", roundtrip_energy_factor),
+                        ("fraction_of_roundtrip", fraction_of_roundtrip)):
+        if not (0 < value <= 1):
+            raise ConfigurationError(f"{name} must lie in (0, 1], got {value}")
+    scale = roundtrip_energy_factor ** (fraction_of_roundtrip / 2.0)
     return ComplexField(field.grid, field.amplitudes * scale)
 
 

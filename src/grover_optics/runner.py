@@ -34,7 +34,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, suppress
 from dataclasses import asdict
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -233,16 +232,18 @@ def _rows(array: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 
 class _TableWriter:
-    """Writes CSV rows of float columns at 9 significant digits.
+    """Writes CSV rows of float64 columns at 9 significant digits.
 
     Each cell is the text of ``'%.9g' % value``.  The writer writes a
     group of ``rows`` rows per ``write`` call, a block of rows at a time
-    through one formatter call.  A block row lays each column's cell at
+    through one formatter call.  A column is a float64 array, formatted
+    in that call, or cells that ``format`` spelled ahead for a column
+    that every group repeats.  A block row lays each column's cell at
     that column's width, NUL-padded and followed by its separator, and
     is compacted with ``bytes.translate``: 16 bytes for a formatted
-    column, the longest text for one that ``format`` spelled ahead.
-    Cells are copied as single ``V<width>`` items.  The buffers are
-    reused by every block and every call.
+    column, the longest text for a spelled one.  Cells are copied as
+    single ``V<width>`` items.  The buffers are reused by every block
+    and every call.
     """
 
     def __init__(self, rows: int, live: int) -> None:
@@ -278,26 +279,25 @@ class _TableWriter:
     def write(self, fh, columns: list) -> None:
         """Write one group of rows to ``fh``.
 
-        A column is either the cells of ``format``, or a tuple of float
-        arrays whose elementwise product is formatted a block at a time;
-        columns whose tuples hold the same array objects are formatted
-        once.  Each holds ``rows`` entries, or one that every row repeats.
+        A column is either the cells of ``format`` or a float64 array,
+        formatted a block at a time; an array passed as two columns is
+        formatted once.  Each holds ``rows`` entries, or one that every
+        row repeats.
         """
-        widths = tuple(_CELL_BYTES if isinstance(column, tuple) else column.dtype.itemsize
-                       for column in columns)
+        distinct: dict[int, tuple] = {}  # id(array) -> (slot, array)
+        slots = [distinct.setdefault(id(column), (len(distinct), column))[0]
+                 if column.dtype == np.float64 else None for column in columns]
+        widths = tuple(column.dtype.itemsize if slot is None else _CELL_BYTES
+                       for column, slot in zip(columns, slots))
         if widths != self.widths:
             self._lay_out(widths)
-        distinct: dict[tuple, tuple] = {}  # the parts' ids -> (slot, parts)
-        slots = [distinct.setdefault(tuple(map(id, column)), (len(distinct), column))[0]
-                 if isinstance(column, tuple) else None for column in columns]
         k = len(distinct)
         for start in range(0, self.rows, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, self.rows)
             n = stop - start
             values, cells = self.values[:n * k].reshape(n, k), self.cells[:n * k]
-            for slot, parts in distinct.values():
-                values[:, slot] = reduce(np.multiply, [_rows(part, start, stop)
-                                                       for part in parts])
+            for slot, array in distinct.values():
+                values[:, slot] = _rows(array, start, stop)
             self.formatter(values, cells)
             formatted = cells.view(f"V{_CELL_BYTES}").reshape(n, k)
             for out, column, slot in zip(self.slots, columns, slots):
@@ -314,8 +314,8 @@ def _write_table(path: Path, header: str, columns) -> None:
     ``nan``/``inf``/``-0`` spellings.  The columns are sequences of one
     length; ``None`` is nan.
     """
-    columns = [(np.asarray(column, dtype=np.float64),) for column in columns]
-    table = _TableWriter(len(columns[0][0]), len(columns))
+    columns = [np.asarray(column, dtype=np.float64) for column in columns]
+    table = _TableWriter(len(columns[0]), len(columns))
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
         table.write(fh, columns)
@@ -341,7 +341,28 @@ def _formula_or_null(name: str, warnings: list[str], formula, *args) -> float | 
         return None
 
 
-def _search_summary(cfg: ExperimentConfig, trace, peaks: analysis.PeakTrace) -> dict:
+def _write_run_summary(cfg: ExperimentConfig, out_dir: Path, results: dict,
+                       warnings: list[str]) -> dict:
+    """Write a run's ``summary.json``, its ``results`` with the artifact
+    version, the mode, the config echo and, if there are any, the
+    ``warnings``; return the summary."""
+    summary = {"artifact_version": __version__, "mode": cfg.mode, **results,
+               "config": asdict(cfg)}
+    if warnings:
+        summary["warnings"] = warnings
+    _write_summary(out_dir / "summary.json", summary)
+    return summary
+
+
+def _write_search_outputs(cfg: ExperimentConfig, trace, out_dir: Path) -> dict:
+    """Write a search or analyze run's files for ``trace`` but
+    ``profiles.csv`` (see ``_while_writing_profiles``); return its summary."""
+    peaks = analysis.PeakTrace.from_search_trace(trace, compensated=cfg.compensate_loss)
+    _write_table(
+        out_dir / "peaks.csv",
+        "iteration_count,peak_position_m,peak_value",
+        [peaks.iteration_counts, peaks.peak_positions, peaks.peak_values],
+    )
     warnings: list[str] = []
     flagged = np.flatnonzero(trace.peak_at_edge)
     if flagged.size:
@@ -360,9 +381,7 @@ def _search_summary(cfg: ExperimentConfig, trace, peaks: analysis.PeakTrace) -> 
     resolution_m = analysis.rayleigh_resolution(
         cfg.wavelength_nm * 1e-9, cfg.numerical_aperture
     )
-    summary = {
-        "artifact_version": __version__,
-        "mode": cfg.mode,
+    return _write_run_summary(cfg, out_dir, {
         "first_maximum": None if k_star is None else _round9(k_star),
         "estimate_nm": (
             None
@@ -378,26 +397,7 @@ def _search_summary(cfg: ExperimentConfig, trace, peaks: analysis.PeakTrace) -> 
         "equivalent_qubits": _round9(
             analysis.equivalent_qubits(fwhm_m, resolution_m, 1)
         ),
-        "config": asdict(cfg),
-    }
-    if warnings:
-        summary["warnings"] = warnings
-    return summary
-
-
-def _write_search_outputs(cfg: ExperimentConfig, trace, out_dir: Path) -> dict:
-    """Write a search or analyze run's files for ``trace`` but
-    ``profiles.csv`` (see ``_while_writing_profiles``); return its summary."""
-    peaks = analysis.PeakTrace.from_search_trace(trace, compensated=cfg.compensate_loss)
-    _write_table(
-        out_dir / "peaks.csv",
-        "iteration_count,peak_position_m,peak_value",
-        [peaks.iteration_counts, peaks.peak_positions, peaks.peak_values],
-    )
-
-    summary = _search_summary(cfg, trace, peaks)
-    _write_summary(out_dir / "summary.json", summary)
-    return summary
+    }, warnings)
 
 
 def _write_train_outputs(cfg: ExperimentConfig, trace, out_dir: Path) -> dict:
@@ -413,23 +413,17 @@ def _write_train_outputs(cfg: ExperimentConfig, trace, out_dir: Path) -> dict:
         _round9(energies[i + 1] / energies[i]) if energies[i] > 0 else None
         for i in range(len(energies) - 1)
     ]
-    summary = {
-        "artifact_version": __version__,
-        "mode": cfg.mode,
-        "slit_energies": [_round9(e) for e in energies],
-        "consecutive_energy_ratios": ratios,
-        "config": asdict(cfg),
-    }
     # On the beam a slit collects about 1e-1 of a pulse; off it, light
     # scattered by the plates' ramps, 1e-4 and less.
     off_beam = np.flatnonzero(trace.slit_energies < 1e-3 * trace.total_energies)
-    if off_beam.size:
-        summary["warnings"] = [
-            "slit collects under 1e-3 of the pulse energy for pulse rows "
-            f"{off_beam.tolist()}; it may be off the beam"
-        ]
-    _write_summary(out_dir / "summary.json", summary)
-    return summary
+    warnings = [
+        "slit collects under 1e-3 of the pulse energy for pulse rows "
+        f"{off_beam.tolist()}; it may be off the beam"
+    ] if off_beam.size else []
+    return _write_run_summary(cfg, out_dir, {
+        "slit_energies": [_round9(e) for e in energies],
+        "consecutive_energy_ratios": ratios,
+    }, warnings)
 
 
 def _run_reference_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
@@ -450,9 +444,7 @@ def _run_reference_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
     )
     best = int(np.argmax(probabilities))
     warnings: list[str] = []
-    summary = {
-        "artifact_version": __version__,
-        "mode": cfg.mode,
+    return _write_run_summary(cfg, out_dir, {
         "max_success_probability": _round9(probabilities[best]),
         "argmax_iteration": best,
         "optimal_iterations": _formula_or_null(
@@ -462,19 +454,7 @@ def _run_reference_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "oscillation_period": _round9(
             reference.oscillation_period(ref.n_items, ref.n_marked)
         ),
-        "config": asdict(cfg),
-    }
-    if warnings:
-        summary["warnings"] = warnings
-    _write_summary(out_dir / "summary.json", summary)
-    return summary
-
-
-def _write_cavity_outputs(cfg: ExperimentConfig, trace, out_dir: Path) -> dict:
-    """Write the files of a cavity run (any mode but reference)."""
-    if cfg.mode == "pulse-train":
-        return _write_train_outputs(cfg, trace, out_dir)
-    return _write_search_outputs(cfg, trace, out_dir)
+    }, warnings)
 
 
 # Pulses the loop may run ahead of the profile writer.
@@ -494,8 +474,8 @@ def _while_writing_profiles(kernel, cavities: list, paths: list[Path]) -> list:
     one of ``_HANDOFF_ROWS`` buffers, and once that many pulses are
     pending it first waits for the oldest, whose buffer it refills.  A
     writer error is raised at the loop's next wait, so it stops the loop
-    within ``_HANDOFF_ROWS`` pulses; a loop error, or an interrupt, stops
-    the writer after the pulses already handed over.  Either way the
+    within ``_HANDOFF_ROWS`` pulses; a loop error, or an interrupt,
+    cancels the pulses the writer has not begun.  Either way the
     writer thread has ended when this returns.  The files are written
     under temporary sibling names and moved onto ``paths`` only once the
     loop and the writer have both succeeded; on any error the
@@ -514,16 +494,16 @@ def _while_writing_profiles(kernel, cavities: list, paths: list[Path]) -> list:
         handles = [files.enter_context(open(path, "wb")) for path in temporaries]
         for fh in handles:
             fh.write(_PROFILES_HEADER)
-        return table, cells, compensation, handles
+        return table, cells, compensation, np.empty(coordinates.size), handles
 
     def write(row: int, intensities: np.ndarray) -> None:
-        table, (count_cells, coordinate_cells), compensation, handles = setup.result()
-        # A lossless pulse's compensated column is its intensity
-        # (line * 1.0 is line, bit for bit): one column to format.
-        factor = None if compensation[row] == 1.0 else compensation[row:row + 1]
+        table, (count_cells, coordinate_cells), compensation, scaled, handles = setup.result()
         for fh, line in zip(handles, intensities):
-            compensated = (line,) if factor is None else (line, factor)
-            table.write(fh, [count_cells[row], coordinate_cells, (line,), compensated])
+            # A lossless pulse's compensated column is its intensity
+            # (line * 1.0 is line, bit for bit): one column to format.
+            compensated = (line if compensation[row] == 1.0
+                           else np.multiply(line, compensation[row], out=scaled))
+            table.write(fh, [count_cells[row], coordinate_cells, line, compensated])
 
     def hand_off(row: int, intensities: np.ndarray) -> None:
         if len(pending) == _HANDOFF_ROWS:
@@ -535,7 +515,11 @@ def _while_writing_profiles(kernel, cavities: list, paths: list[Path]) -> list:
     try:
         with ExitStack() as files, ThreadPoolExecutor(1, "profiles-writer") as writer:
             setup = writer.submit(set_up, files)
-            traces = kernel(hand_off)
+            try:
+                traces = kernel(hand_off)
+            except BaseException:
+                writer.shutdown(cancel_futures=True)  # the pulses not yet begun
+                raise
             for future in pending:
                 future.result()
         for temporary, path in zip(temporaries, paths):
@@ -563,7 +547,8 @@ def _run_points(points: list[ExperimentConfig], cavities: list, out_dirs: list[P
                                          [out_dir / "profiles.csv" for out_dir in out_dirs])
     else:
         traces = kernel(None)
-    return [_write_cavity_outputs(point, trace, out_dir)
+    write = _write_train_outputs if points[0].mode == "pulse-train" else _write_search_outputs
+    return [write(point, trace, out_dir)
             for point, trace, out_dir in zip(points, traces, out_dirs)]
 
 

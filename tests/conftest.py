@@ -13,7 +13,7 @@ else:
     settings.register_profile("ci", derandomize=True, deadline=None)
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
-from grover_optics import CavityConfig, LossModel, TrapezoidPhasePlate, cavity
+from grover_optics import CavityConfig, TrapezoidPhasePlate, cavity
 
 # Measured-plate experiment values: oracle flat widths with the ramp
 # each wire shadow produces, all at -1.1 rad per pass.
@@ -55,7 +55,7 @@ def ideal_cavity(flat_um: float = 42.0, n_pulses: int = 30, **overrides) -> Cavi
         iaa_plate=TrapezoidPhasePlate(
             center=0.0, flat_width=136e-6, ramp_width=0.0, phase_depth=-np.pi / 2
         ),
-        loss=LossModel(1.0),
+        roundtrip_energy_factor=1.0,
         n_pulses=n_pulses,
     )
     kwargs.update(overrides)

@@ -61,13 +61,13 @@ def roundtrip(a, config):
     """One whole roundtrip: double-pass oracle, lens, double-pass IAA,
     inverse lens and one roundtrip of loss."""
     oracle, iaa = plate_phasors(config, passes=2)
-    return half_pass(np.multiply(oracle, a), iaa, config.loss.roundtrip_energy_factor ** 0.5)
+    return half_pass(np.multiply(oracle, a), iaa, config.roundtrip_energy_factor ** 0.5)
 
 
 def profiles(config):
     """The recorded intensity of every pulse, one row each."""
     oracle, iaa = plate_phasors(config)
-    scale = config.loss.roundtrip_energy_factor ** (0.5 / 2.0)
+    scale = config.roundtrip_energy_factor ** (0.5 / 2.0)
     circulating, rows = gaussian(config), []
     for _ in range(config.n_pulses):
         upright = half_pass(np.multiply(oracle, circulating), iaa, scale)

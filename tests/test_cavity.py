@@ -8,7 +8,6 @@ from grover_optics import (
     CavityConfig,
     ConfigurationError,
     Grid1D,
-    LossModel,
     PeakTrace,
     TrapezoidPhasePlate,
     pulse_train,
@@ -49,7 +48,7 @@ class TestHalfPassForward:
 class TestGroverIterate:
     # One roundtrip of the pulse loop, seen from pulse to pulse.
     def test_identity_when_plates_and_loss_disabled(self):
-        config = disabled_cavity(loss=LossModel(1.0), n_pulses=2)
+        config = disabled_cavity(roundtrip_energy_factor=1.0, n_pulses=2)
         _, (profiles,) = recorded([config])
         assert np.max(np.abs(profiles[1] - profiles[0])) < 1e-10 * np.max(profiles[0])
 
@@ -88,13 +87,13 @@ class TestRunSearch:
     def test_compensation_exactly_cancels_decay(self):
         config = paper_cavity(84.0)
         (trace,), (profiles,) = recorded([config])
-        compensated = compensated_rows(trace, profiles, config.loss.roundtrip_energy_factor)
+        compensated = compensated_rows(trace, profiles, config.roundtrip_energy_factor)
         energies = np.sum(compensated, axis=1) * config.grid.pitch
         assert np.allclose(energies, 0.02, rtol=1e-9)
 
     def test_disabled_cavity_reimages_the_input_every_pulse(self):
         config = disabled_cavity(
-            loss=LossModel(1.0), output_mirror_transmission=1.0, n_pulses=3
+            roundtrip_energy_factor=1.0, output_mirror_transmission=1.0, n_pulses=3
         )
         _, (profiles,) = recorded([config])
         reference = np.abs(oracle.gaussian(config)) ** 2
@@ -134,7 +133,7 @@ class TestRunSearch:
         config = build_config({"preset": preset, "grid_samples": 4096}).to_cavity_config()
         _, (profiles,) = recorded([config])
         once, iaa = oracle.plate_phasors(config)
-        scale = config.loss.roundtrip_energy_factor ** (0.5 / 2.0)
+        scale = config.roundtrip_energy_factor ** (0.5 / 2.0)
         out = oracle.half_pass(np.multiply(once, oracle.gaussian(config)), iaa, scale)
         expected = config.output_mirror_transmission * np.abs(out) ** 2
         assert np.array_equal(profiles[0], expected)
@@ -148,7 +147,7 @@ class TestRunSearch:
         # changes a multiply's operand order and so its last bit.
         config = build_config({"preset": preset, "grid_samples": n_samples}).to_cavity_config()
         n = config.grid.n_samples
-        loss_factor = config.loss.roundtrip_energy_factor
+        loss_factor = config.roundtrip_energy_factor
         coords = config.grid.coordinates
         overlap = elements._window_overlap(config.grid, *config.slit_window)
         rows = []
@@ -263,7 +262,7 @@ class TestReducedModelAgreement:
         config = CavityConfig(
             oracle_plate=TrapezoidPhasePlate(0.0, flat, 0.0, -np.pi / 2),
             iaa_plate=TrapezoidPhasePlate(0.0, 136e-6, 0.0, -np.pi / 2),
-            loss=LossModel(1.0),
+            roundtrip_energy_factor=1.0,
             grid=Grid1D(32768, 1e-6),
         )
         theta = np.arcsin(np.sqrt(flat / fwhm))
@@ -351,6 +350,11 @@ class TestCavityConfigValidation:
     def test_bad_transmission_rejected(self, transmission):
         with pytest.raises(ConfigurationError):
             CavityConfig(**self.base_plates(), output_mirror_transmission=transmission)
+
+    @pytest.mark.parametrize("factor", [0.0, -0.1, 1.2, np.nan])
+    def test_bad_roundtrip_energy_factor_rejected(self, factor):
+        with pytest.raises(ConfigurationError, match="roundtrip_energy_factor"):
+            CavityConfig(**self.base_plates(), roundtrip_energy_factor=factor)
 
     def test_beam_wider_than_grid_rejected(self):
         with pytest.raises(ConfigurationError, match="input_fwhm"):

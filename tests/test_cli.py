@@ -573,6 +573,38 @@ class TestProfileWriterThread:
         # are gone: no profiles.csv, no temporary, no summary.
         assert list(out.iterdir()) == []
 
+    def test_loop_error_cancels_the_pulses_not_yet_written(self, tmp_path, monkeypatch):
+        # The loop fails on pulse 2 while the writer is inside pulse 0's
+        # write and pulse 1's is queued behind it.  Pulse 0's write then
+        # lingers, so the failing loop reaches the writer first: pulse 1
+        # must not be written into a temporary that is removed anyway.
+        began, failed = threading.Event(), threading.Event()
+        writes, measured = [], []
+        original = cavity._lobe_center
+
+        def hold(table, fh, columns):
+            writes.append(fh)
+            began.set()
+            failed.wait(60)
+            time.sleep(0.2)
+
+        def fail_on_pulse_3(intensity, coords, idx):
+            measured.append(idx)
+            if len(measured) == 3:
+                began.wait(60)
+                failed.set()
+                raise RuntimeError("measurement failed")
+            return original(intensity, coords, idx)
+
+        monkeypatch.setattr(runner._TableWriter, "write", hold)
+        monkeypatch.setattr(cavity, "_lobe_center", fail_on_pulse_3)
+        cfg = write_config(tmp_path, preset="paper-42um", **SMALL_GRID)
+        out = tmp_path / "out"
+        result = main_on_a_thread(["run", "--config", str(cfg), "--out", str(out)])
+        assert type(result["error"]) is RuntimeError
+        assert len(writes) == 1
+        assert list(out.iterdir()) == []
+
     def test_run_profiles_under_a_short_switch_interval(self, tmp_path, short_switch_interval):
         cfg = write_config(tmp_path, preset="paper-42um", **SMALL_GRID)
         out = tmp_path / "out"

@@ -193,7 +193,7 @@ class TestUnitConversion:
         assert cavity.iaa_plate.flat_width == pytest.approx(136e-6)
         assert cavity.grid.n_samples == 16384
         assert cavity.grid.pitch == pytest.approx(2e-6)
-        assert cavity.loss.roundtrip_energy_factor == 0.75
+        assert cavity.roundtrip_energy_factor == 0.75
 
     def test_slit_defaults_to_oracle_center(self):
         cavity = build_config({"preset": "paper-42um"}).to_cavity_config()

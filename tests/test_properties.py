@@ -32,7 +32,6 @@ from grover_optics import (  # noqa: E402
     FourierGrid,
     Grid1D,
     GroverReducedState,
-    LossModel,
     MeasurementError,
     PeakTrace,
     TrapezoidPhasePlate,
@@ -113,12 +112,12 @@ def test_batched_kernel_is_the_one_row_kernel_bit_for_bit(n, rows, seed, factor,
                for plate in (iaa_plate, *oracle_plates)}
     configs = [
         CavityConfig(oracle_plate=plate, iaa_plate=iaa_plate,
-                     input_fwhm=grid.extent / (6 + k), loss=LossModel(factor),
+                     input_fwhm=grid.extent / (6 + k), roundtrip_energy_factor=factor,
                      grid=grid, n_pulses=n_pulses)
         for k, plate in enumerate(oracle_plates)
     ]
     with mock.patch.object(cavity, "plate_phasor",
-                           lambda plate, grid, passes: phasors[plate]):
+                           lambda plate, grid: phasors[plate]):
         batch, batch_profiles = recorded(configs)
         singles = [recorded([config]) for config in configs]
     for batched, profiles, ((single,), (single_profiles,)) in zip(batch, batch_profiles,
@@ -164,7 +163,7 @@ def test_loop_slit_energy_is_the_profile_sum_bit_for_bit(n, seed, slits):
         for plate, (where, pitches) in zip(oracle_plates, slits)
     ]
     with mock.patch.object(cavity, "plate_phasor",
-                           lambda plate, grid, passes: phasors[plate]):
+                           lambda plate, grid: phasors[plate]):
         loop = cavity._run_batch(configs)
         traced, profiles = recorded(configs)
     for config, measured, kept, rows in zip(configs, loop, traced, profiles):

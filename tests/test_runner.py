@@ -85,7 +85,7 @@ def test_integer_and_missing_cells(tmp_path):
 def column_stacked_profiles(cavity, profiles):
     """The table ``profiles.csv`` holds, as ``np.savetxt`` would write it."""
     counts = np.arange(1, cavity.n_pulses + 1) - 0.5
-    loss_factor = cavity.loss.roundtrip_energy_factor
+    loss_factor = cavity.roundtrip_energy_factor
     n = cavity.grid.coordinates.size
     compensated = [
         profile * loss_factor ** (-count) for count, profile in zip(counts, profiles)
@@ -118,7 +118,7 @@ def test_profile_blocks_match_savetxt_across_block_edges(tmp_path, n_samples, lo
     # intensity column itself.
     cavity = SimpleNamespace(
         n_pulses=3,
-        loss=SimpleNamespace(roundtrip_energy_factor=loss_factor),
+        roundtrip_energy_factor=loss_factor,
         grid=SimpleNamespace(coordinates=np.linspace(-1e-3, 1e-3, n_samples),
                              n_samples=n_samples),
     )
@@ -130,18 +130,20 @@ def test_profile_blocks_match_savetxt_across_block_edges(tmp_path, n_samples, lo
 
 def test_preformatted_columns_match_savetxt_at_their_own_widths(tmp_path):
     # Pre-formatted columns of 1-byte and 16-byte texts, a repeated one
-    # among them, laid beside formatted ones across a block edge.
+    # among them, laid beside formatted ones across a block edge; the
+    # array passed twice is formatted once.
     n_rows = 4097
     longest = np.resize([-1.23456789e-308, np.nan, -0.0, 1.5], n_rows)
     live = edge_table(n_rows, 1, seed=7)[:, 0]
+    half = live * 0.5
     table = runner._TableWriter(n_rows, 2)
     zeros, wide, one = table.format(np.zeros(n_rows)), table.format(longest), table.format([0.0])
     assert (zeros.dtype.itemsize, wide.dtype.itemsize, one.dtype.itemsize) == (1, 16, 1)
     with open(tmp_path / "got.csv", "wb") as fh:
-        fh.write(b"a,b,c,d,e\n")
-        table.write(fh, [zeros, (live,), wide, one, (live, np.array([0.5]))])
-    expected = savetxt_bytes(tmp_path / "expected.csv", "a,b,c,d,e", np.column_stack(
-        [np.zeros(n_rows), live, longest, np.zeros(n_rows), live * 0.5]))
+        fh.write(b"a,b,c,d,e,f\n")
+        table.write(fh, [zeros, live, wide, one, half, live])
+    expected = savetxt_bytes(tmp_path / "expected.csv", "a,b,c,d,e,f", np.column_stack(
+        [np.zeros(n_rows), live, longest, np.zeros(n_rows), half, live]))
     assert (tmp_path / "got.csv").read_bytes() == expected
 
 
