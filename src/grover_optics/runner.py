@@ -21,16 +21,21 @@ formats, the longest text for one spelled ahead, such as a profile's
 coordinates.
 
 Search mode writes ``profiles.csv`` while the pulse loop runs: the loop
-hands each pulse's intensities to one writer thread, which adds that
-pulse's rows to the file, so no run keeps its ``(P, n)`` profiles.  The
-file is written under a temporary name and moved into place once the
-run has succeeded (see ``_while_writing_profiles``).
+hands each pulse's intensities to two formatter threads, which spell its
+blocks of rows at the same time and write them in file order, so no run
+keeps its ``(P, n)`` profiles.  Every formatter step is a numpy call
+that releases the interpreter lock, the block's compaction too, so the
+two threads and the loop share both cores.  The file is written under a
+temporary name and moved into place once the run has succeeded (see
+``_while_writing_profiles``).
 """
 
 import itertools
 import json
 import math
 import os
+import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, suppress
 from dataclasses import asdict
@@ -56,12 +61,13 @@ def _round9(value: float) -> float:
 # ``np.savetxt(fmt="%.9g")`` writes.  ``_CellFormatter`` produces those
 # bytes with array operations instead of one ``%`` per value:
 #
-# 1. Scale.  |v| lies in [2**(b-1), 2**b) for its binary exponent b
-#    (``np.frexp``), so its decimal exponent is E = floor((b-1) log10 2)
-#    or E + 1; ``_DECIMAL`` holds E, clipped to [-300, 300].  Then
+# 1. Scale.  A normal |v| lies in [2**(k-1023), 2**(k-1022)) for the
+#    biased exponent k in its bits, so its decimal exponent is
+#    E = floor((k-1023) log10 2) or E + 1; ``_DECIMAL`` holds E, clipped
+#    to [-300, 300], by the top 12 bits (sign and k).  Then
 #    m = |v| * 10**(8 - e), with the power taken from ``_POW10``, a table
 #    of correctly rounded powers of ten, and if m >= 1e9, e moves up by
-#    one and m is recomputed.  b only ever proposes e, and the range
+#    one and m is recomputed.  k only ever proposes e, and the range
 #    check on m in step 2 decides it.
 # 2. Round.  m carries two roundings, each at most u = 2**-53 relative
 #    (the table entry and the product), so |m - |v| * 10**(8 - e)| <=
@@ -95,13 +101,12 @@ _EXPONENTS = np.arange(_EXP_MIN, _EXP_MAX + 1)
 _POW10 = np.array([float(f"1e{k}") for k in _EXPONENTS.tolist()])
 _SCALE = _POW10[np.minimum(8 - _EXPONENTS - _EXP_MIN, _POW10.size - 1)]
 
-# E - _EXP_MIN by binary exponent, from b = -1073 (the least subnormal)
-# to 1024; frexp gives b = 0 for 0, inf and nan.
-_BINARY_MIN = -1073
-_DECIMAL = np.array([
-    min(max(math.floor((b - 1) * math.log10(2)), -300), 300) - _EXP_MIN
-    for b in range(_BINARY_MIN, 1025)
-])
+# E - _EXP_MIN by the top 12 bits of a float64, the sign bit and the
+# biased exponent k; zeros and subnormals (k = 0) take k = 1's entry.
+_DECIMAL = np.tile([
+    min(max(math.floor((max(k, 1) - 1023) * math.log10(2)), -300), 300) - _EXP_MIN
+    for k in range(2048)
+], 2)
 
 # The digits of 0..9999 are the index tuples of a (10, 10, 10, 10) array.
 _FOUR_DIGITS = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T
@@ -153,23 +158,36 @@ class _CellFormatter:
     """Writes ``'%.9g' % v`` of float64 values as NUL-padded uint8 cells.
 
     Values are formatted ``chunk`` at a time into buffers that every
-    chunk reuses, so repeated calls allocate no large temporaries: one
-    formatter serves every block of a table.  The source words are
-    stored word by word, ``source[w, cell]``, so each table lookup
-    writes its word in place; ``templates`` are ``_TEMPLATES`` moved to
-    that layout.
+    chunk reuses, so a call allocates nothing that grows with its
+    values: one formatter serves every block of a table, and formatters
+    on two threads hold a fixed amount of memory between them.  The
+    source words are stored word by word, ``source[w, cell]``, so each
+    table lookup writes its word in place; ``templates`` are
+    ``_TEMPLATES`` moved to that layout.  Every index is an intp, which
+    ``np.take`` reads without a converted copy.  The cells are gathered
+    ``_SPAN`` at a time, through a byte index of that many cells.
     """
 
-    def __init__(self, chunk: int) -> None:
+    def __init__(self, chunk: int, like: "_CellFormatter | None" = None) -> None:
+        """``like``, a formatter of the same ``chunk``, lends its read-only
+        ``templates`` and ``offsets``: formatters on two threads share
+        them and keep buffers of their own."""
         self.chunk = chunk
+        span = min(chunk, _SPAN)
         self.source = np.empty((_SOURCE_WORDS, chunk), dtype=np.uint32)
         self.source[0] = _CONST_WORD
         self.source_bytes = self.source.reshape(-1).view(np.uint8)
-        self.templates = _TEMPLATES // 4 * (4 * chunk) + _TEMPLATES % 4
-        self.index = np.empty((chunk, _CELL_BYTES), dtype=np.int32)
-        # Full size: a broadcast (chunk, 1) operand adds 3x slower.
-        self.offsets = np.repeat(4 * np.arange(chunk, dtype=np.int32), _CELL_BYTES).reshape(
-            chunk, _CELL_BYTES)
+        self.index = np.empty((span, _CELL_BYTES), dtype=np.intp)
+        self.floats = np.empty((3, chunk))
+        self.ints = np.empty((3, chunk), dtype=np.intp)
+        self.flags = np.empty((2, chunk), dtype=bool)
+        if like is not None:
+            self.templates, self.offsets = like.templates, like.offsets
+            return
+        self.templates = (_TEMPLATES // 4 * (4 * chunk) + _TEMPLATES % 4).astype(np.intp)
+        # Full size: a broadcast (span, 1) operand adds 3x slower.
+        self.offsets = np.repeat(4 * np.arange(span, dtype=np.intp), _CELL_BYTES).reshape(
+            span, _CELL_BYTES)
 
     def __call__(self, values: np.ndarray, out: np.ndarray) -> None:
         """Fill ``out``, C-contiguous ``values.shape + (16,)``, with the
@@ -180,28 +198,56 @@ class _CellFormatter:
             self._format(flat[start:stop], cells[start:stop])
 
     def _format(self, v: np.ndarray, cells: np.ndarray) -> None:
+        # Each step writes into a buffer of its own (out=), and no step
+        # mixes dtypes, which would make numpy allocate a cast buffer.
         n = v.size
-        a = np.abs(v)
-        i = np.take(_DECIMAL, np.frexp(v)[1] - _BINARY_MIN)
+        a, m, d = self.floats[:, :n]
+        i, key, look = self.ints[:, :n]
+        # Each buffer below is free by the time it is first written: a, m
+        # and d after the float steps, key and look after the digits.
+        first, high, low = self.floats.view(np.intp)[:, :n]
+        digits, rest = key, look
+        exact, flag = self.flags[:, :n]
         # errstate keeps a table write silent on nan, inf and 0: it must
         # never print a numpy warning.
         with np.errstate(all="ignore"):
-            m = a * _SCALE[i]
-            i += m >= 1e9
-            m = a * _SCALE[i]
-            d = np.rint(m)
-            exact = (m >= 1e8) & (m < 999_999_999.5) & (
-                np.abs(m - d) <= 0.5 - _TIE_MARGIN)
-            # A decided cell's D lies in [1e8, 999999999], inside int32,
-            # whose floor division is about 3x faster than intp divmod.
-            # A rejected cell's cast is arbitrary, but its rest, high and
-            # low still lie in range: the subtractions are exact mod 2**32.
-            digits = d.astype(np.int32)
-        first = digits // 100_000_000
-        rest = digits - first * 100_000_000
-        high = rest // 10000
-        low = rest - high * 10000
-        key = _KEY_BASE[i] + _KEY_ZEROS[low] + (low == 0) * _KEY_ZEROS[high] + np.signbit(v)
+            np.right_shift(v.view(np.uint64), 52, out=look.view(np.uint64))
+            np.take(_DECIMAL, look, out=i, mode="clip")
+            np.abs(v, out=a)
+            np.take(_SCALE, i, out=m, mode="clip")
+            np.multiply(a, m, out=m)
+            np.greater_equal(m, 1e9, out=flag)
+            np.add(i, 1, out=i, where=flag)
+            np.take(_SCALE, i, out=m, mode="clip")
+            np.multiply(a, m, out=m)
+            np.rint(m, out=d)
+            np.subtract(m, d, out=a)
+            np.abs(a, out=a)
+            np.less_equal(a, 0.5 - _TIE_MARGIN, out=exact)
+            np.greater_equal(m, 1e8, out=flag)
+            np.logical_and(exact, flag, out=exact)
+            np.less(m, 999_999_999.5, out=flag)
+            np.logical_and(exact, flag, out=exact)
+            # A decided cell's D lies in [1e8, 999999999].  A rejected
+            # cell's cast is arbitrary, but its rest, high and low still
+            # lie in range: the subtractions are exact mod 2**64.
+            np.copyto(digits, d, casting="unsafe")
+        np.floor_divide(digits, 100_000_000, out=first)
+        np.multiply(first, 100_000_000, out=rest)
+        np.subtract(digits, rest, out=rest)
+        np.floor_divide(rest, 10000, out=high)
+        np.multiply(high, 10000, out=low)
+        np.subtract(rest, low, out=low)
+        # key = _KEY_BASE[i] + _KEY_ZEROS[low] + (low == 0) * _KEY_ZEROS[high]
+        #       + signbit(v)
+        np.take(_KEY_BASE, i, out=key, mode="clip")
+        np.take(_KEY_ZEROS, low, out=look, mode="clip")
+        np.add(key, look, out=key)
+        np.take(_KEY_ZEROS, high, out=look, mode="clip")
+        np.equal(low, 0, out=flag)
+        np.add(key, look, out=key, where=flag)
+        np.signbit(v, out=flag)
+        np.add(key, 1, out=key, where=flag)
 
         source = self.source
         np.take(_FIRST_WORD, first, out=source[1, :n], mode="clip")
@@ -210,20 +256,35 @@ class _CellFormatter:
         np.take(_DIGITS4, low, out=source[4, :n], mode="clip")
         # mode="clip" keeps the indices of cells step 2 rejects in range,
         # and lets take skip its check and write into ``out`` directly.
-        index = self.index[:n]
-        np.take(self.templates, key, axis=0, out=index, mode="clip")
-        index += self.offsets[:n]
-        np.take(self.source_bytes, index, out=cells, mode="clip")
-        fallback = np.flatnonzero(~exact)
+        # Cell c's source words lie 4 * c bytes into ``source_bytes``, so a
+        # span of cells from ``start`` reads from 4 * start on.
+        for start in range(0, n, len(self.index)):
+            stop = min(start + len(self.index), n)
+            index = self.index[:stop - start]
+            np.take(self.templates, key[start:stop], axis=0, out=index, mode="clip")
+            np.add(index, self.offsets[:stop - start], out=index)
+            np.take(self.source_bytes[4 * start:], index, out=cells[start:stop], mode="clip")
+        np.logical_not(exact, out=flag)
+        fallback = np.flatnonzero(flag)
         if fallback.size:
             text = ["%.9g" % value for value in v[fallback].tolist()]
             cells[fallback] = np.array(text, "S16").view(np.uint8).reshape(-1, _CELL_BYTES)
 
 
-# Rows per written block.  A profiles.csv block row is 49 bytes (two
-# formatted 16-byte cells, the count and coordinate texts at their own
-# widths, 4 separators): about 200 KB a block.
-_BLOCK_ROWS = 4096
+# Rows per written block, and cells per gather through the formatter's
+# byte index.  A block is one formatter call, so every numpy call of a
+# profiles.csv block covers 16384 values, or 8192 for a lossless cavity,
+# whose rows format one value.  Each call hands the interpreter lock
+# back and forth, so fewer, longer calls are what lets two formatter
+# threads share the cores: with 4096-row blocks a paper-42um search run
+# took as long as with one writer thread, with 8192-row blocks about 10%
+# less.  The formatter's buffers hold 70 bytes a value and 128 a span
+# cell.  A profiles.csv block row is 49 bytes (two formatted 16-byte
+# cells, the count and coordinate texts at their own widths, 4
+# separators).
+_BLOCK_ROWS = 8192
+_SPAN = 2048
+_TEXT_ROWS = 4096  # rows compacted at a time
 
 
 def _rows(array: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -234,26 +295,31 @@ def _rows(array: np.ndarray, start: int, stop: int) -> np.ndarray:
 class _TableWriter:
     """Writes CSV rows of float64 columns at 9 significant digits.
 
-    Each cell is the text of ``'%.9g' % value``.  The writer writes a
-    group of ``rows`` rows per ``write`` call, a block of rows at a time
-    through one formatter call.  A column is a float64 array, formatted
-    in that call, or cells that ``format`` spelled ahead for a column
-    that every group repeats.  A block row lays each column's cell at
-    that column's width, NUL-padded and followed by its separator, and
-    is compacted with ``bytes.translate``: 16 bytes for a formatted
-    column, the longest text for a spelled one.  Cells are copied as
-    single ``V<width>`` items.  The buffers are reused by every block
-    and every call.
+    Each cell is the text of ``'%.9g' % value``.  ``spell`` lays one
+    block of at most ``block_rows`` rows through one formatter call,
+    ``texts`` compacts it, and ``write`` writes a group of ``rows`` rows
+    a block at a time.  A column is a float64 array,
+    formatted in that call, or cells that ``format`` spelled ahead for a
+    column that every group repeats.  A block row lays each column's
+    cell at that column's width, NUL-padded and followed by its
+    separator: 16 bytes for a formatted column, the longest text for a
+    spelled one.  Cells are copied as single ``V<width>`` items, and the
+    text is the block's bytes picked out by a boolean mask of its
+    non-NUL bytes, which, unlike ``bytes.translate``, releases the
+    interpreter lock.  The buffers are reused by every block and every
+    call, so two writers on two threads hold a fixed amount of memory.
     """
 
-    def __init__(self, rows: int, live: int) -> None:
+    def __init__(self, rows: int, live: int, like: "_TableWriter | None" = None) -> None:
         """``rows`` per group, at most ``live`` distinct columns
-        formatted on each call."""
+        formatted on each call; ``like``, a writer of the same ``rows``
+        and ``live``, shares its formatter's read-only tables."""
         self.rows = rows
         self.block_rows = min(rows, _BLOCK_ROWS)
         self.values = np.empty(self.block_rows * live)
         self.cells = np.empty((self.block_rows * live, _CELL_BYTES), dtype=np.uint8)
-        self.formatter = _CellFormatter(max(self.values.size, 1))
+        self.formatter = _CellFormatter(max(self.values.size, 1),
+                                        None if like is None else like.formatter)
         self.widths = None
 
     def format(self, values) -> np.ndarray:
@@ -276,13 +342,13 @@ class _TableWriter:
         self.slots = [block[:, end - 1 - width:end - 1].view(f"V{width}")[:, 0]
                       for end, width in zip(ends.tolist(), widths)]
 
-    def write(self, fh, columns: list) -> None:
-        """Write one group of rows to ``fh``.
+    def spell(self, columns: list) -> int:
+        """Lay one block of rows into ``block``; return its row count.
 
-        A column is either the cells of ``format`` or a float64 array,
-        formatted a block at a time; an array passed as two columns is
-        formatted once.  Each holds ``rows`` entries, or one that every
-        row repeats.
+        A column is either the cells of ``format`` or a float64 array;
+        an array passed as two columns is formatted once.  Each holds the
+        block's rows, at most ``block_rows``, or one that every row
+        repeats.
         """
         distinct: dict[int, tuple] = {}  # id(array) -> (slot, array)
         slots = [distinct.setdefault(id(column), (len(distinct), column))[0]
@@ -291,19 +357,36 @@ class _TableWriter:
                        for column, slot in zip(columns, slots))
         if widths != self.widths:
             self._lay_out(widths)
-        k = len(distinct)
+        n, k = max(map(len, columns)), len(distinct)
+        values, cells = self.values[:n * k].reshape(n, k), self.cells[:n * k]
+        for slot, array in distinct.values():
+            values[:, slot] = array
+        self.formatter(values, cells)
+        formatted = cells.view(f"V{_CELL_BYTES}").reshape(n, k)
+        for out, column, slot in zip(self.slots, columns, slots):
+            out[:n] = column if slot is None else formatted[:, slot]
+        return n
+
+    def texts(self, n: int):
+        """The text of the block's first ``n`` rows, its NULs dropped: one
+        new uint8 array per ``_TEXT_ROWS`` rows.  Written through
+        ``writelines``, each piece and its mask are freed before the
+        next is made."""
+        for start in range(0, n, _TEXT_ROWS):
+            block = self.block[start:min(start + _TEXT_ROWS, n)]
+            yield block[block != 0]
+
+    def write(self, fh, columns: list) -> None:
+        """Write one group of rows to ``fh``, a block at a time.
+
+        A column is as for ``spell``, but holds ``rows`` entries, or one.
+        """
         for start in range(0, self.rows, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, self.rows)
-            n = stop - start
-            values, cells = self.values[:n * k].reshape(n, k), self.cells[:n * k]
-            for slot, array in distinct.values():
-                values[:, slot] = _rows(array, start, stop)
-            self.formatter(values, cells)
-            formatted = cells.view(f"V{_CELL_BYTES}").reshape(n, k)
-            for out, column, slot in zip(self.slots, columns, slots):
-                out[:n] = (_rows(column, start, stop) if slot is None
-                           else formatted[:, slot])
-            fh.write(self.block[:n].tobytes().translate(None, b"\0"))
+            stop = start + _BLOCK_ROWS
+            # One view per distinct array: an array passed twice stays
+            # one column to format.
+            rows = {id(column): _rows(column, start, stop) for column in columns}
+            fh.writelines(self.texts(self.spell([rows[id(column)] for column in columns])))
 
 
 def _write_table(path: Path, header: str, columns) -> None:
@@ -457,70 +540,110 @@ def _run_reference_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
     }, warnings)
 
 
-# Pulses the loop may run ahead of the profile writer.
+# Pulses the loop may run ahead of the profile writer, and the threads
+# that format their blocks.
 _HANDOFF_ROWS = 2
+_FORMATTERS = 2
 
 
 def _while_writing_profiles(kernel, cavities: list, paths: list[Path]) -> list:
     """``kernel(on_pulse)``, the pulse loop over ``cavities``, on this
-    thread, while one writer thread writes their ``profiles.csv`` files
-    to ``paths``; returns the loop's traces.
+    thread, while ``_FORMATTERS`` threads write their ``profiles.csv``
+    files to ``paths``; returns the loop's traces.
 
     Each file holds, per pulse, one group of rows: the pulse's iteration
     count, the grid coordinates, the intensity and the intensity times
-    the pulse's compensation factor.  The writer's set-up is its first
-    task, and each pulse is one more, which writes that pulse's rows to
-    every file.  The loop copies each pulse's ``(B, n)`` intensities into
-    one of ``_HANDOFF_ROWS`` buffers, and once that many pulses are
-    pending it first waits for the oldest, whose buffer it refills.  A
-    writer error is raised at the loop's next wait, so it stops the loop
-    within ``_HANDOFF_ROWS`` pulses; a loop error, or an interrupt,
-    cancels the pulses the writer has not begun.  Either way the
-    writer thread has ended when this returns.  The files are written
+    the pulse's compensation factor.  The loop copies each pulse's
+    ``(B, n)`` intensities into one of ``_HANDOFF_ROWS`` buffers and
+    hands each block of each file's rows to the formatter threads as a
+    task of its own, after the set-up task that spells the counts and
+    coordinates and opens the files.  Each thread spells a block into
+    its own ``_TableWriter``, then waits for the block's turn in file
+    order to compact and write it, so the files are in order whichever
+    thread finishes first, and only one block's text exists at a time.
+    Once ``_HANDOFF_ROWS`` pulses are pending, the loop first waits for
+    the oldest one's blocks, whose buffer it refills; that bounds the
+    blocks in flight.  A writer error is raised at the loop's next wait,
+    so it stops the loop within ``_HANDOFF_ROWS`` pulses, and it ends
+    every later block's wait for its turn; a loop error, or an
+    interrupt, cancels the blocks no formatter has begun.  Either way
+    the threads have ended when this returns.  The files are written
     under temporary sibling names and moved onto ``paths`` only once the
-    loop and the writer have both succeeded; on any error the
+    loop and the writers have all succeeded; on any error the
     temporaries are removed, so a failed run leaves no ``profiles.csv``.
     """
     temporaries = [path.with_name(path.name + ".tmp") for path in paths]
-    buffers = [np.empty((len(cavities), cavities[0].grid.n_samples))
-               for _ in range(_HANDOFF_ROWS)]
-    pending = []  # the pulses' futures, oldest first
+    n = cavities[0].grid.n_samples
+    counts, compensation = _pulse_counts(cavities[0])
+    # A lossless pulse's compensated column is its intensity (line * 1.0
+    # is line, bit for bit): one column to format.
+    live = 1 if np.all(compensation == 1.0) else 2
+    tables = [_TableWriter(n, live)]
+    tables += [_TableWriter(n, live, tables[0]) for _ in range(_FORMATTERS - 1)]
+    idle = queue.SimpleQueue()  # a (writer, row buffer) per formatter thread
+    for table in tables:
+        idle.put((table, np.empty(table.block_rows)))
+    buffers = [np.empty((len(cavities), n)) for _ in range(_HANDOFF_ROWS)]
+    pending = []  # each pulse's block futures, oldest pulse first
+    numbers = itertools.count()  # blocks in file order, as handed over
+    turn = threading.Condition()
+    written, failed = 0, False  # blocks written; whether a block failed
 
     def set_up(files: ExitStack) -> tuple:
-        counts, compensation = _pulse_counts(cavities[0])
-        coordinates = cavities[0].grid.coordinates
-        table = _TableWriter(coordinates.size, 2)
-        cells = table.format(counts[:, None]), table.format(coordinates)
+        cells = tables[0].format(counts[:, None]), tables[0].format(cavities[0].grid.coordinates)
         handles = [files.enter_context(open(path, "wb")) for path in temporaries]
         for fh in handles:
             fh.write(_PROFILES_HEADER)
-        return table, cells, compensation, np.empty(coordinates.size), handles
+        return cells, handles
 
-    def write(row: int, intensities: np.ndarray) -> None:
-        table, (count_cells, coordinate_cells), compensation, scaled, handles = setup.result()
-        for fh, line in zip(handles, intensities):
-            # A lossless pulse's compensated column is its intensity
-            # (line * 1.0 is line, bit for bit): one column to format.
-            compensated = (line if compensation[row] == 1.0
-                           else np.multiply(line, compensation[row], out=scaled))
-            table.write(fh, [count_cells[row], coordinate_cells, line, compensated])
+    def write(number: int, row: int, line: np.ndarray, file: int, start: int) -> None:
+        # Spells block ``number`` on this thread, then waits for its
+        # turn to compact and write it.  Only the thread whose turn it is
+        # holds a block's text, so the writers' memory is the same on
+        # every run.  A failed block ends every later block's wait.
+        nonlocal written, failed
+        (count_cells, coordinate_cells), handles = setup.result()
+        table, scaled = idle.get()
+        try:
+            stop = start + _BLOCK_ROWS
+            line = line[start:stop]
+            compensated = (line if live == 1
+                           else np.multiply(line, compensation[row], out=scaled[:line.size]))
+            rows = table.spell([count_cells[row], coordinate_cells[start:stop], line,
+                                compensated])
+            with turn:
+                turn.wait_for(lambda: written == number or failed)
+                if not failed:
+                    handles[file].writelines(table.texts(rows))
+                    written += 1
+                    turn.notify_all()
+        except BaseException:
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
+        finally:
+            idle.put((table, scaled))
 
     def hand_off(row: int, intensities: np.ndarray) -> None:
         if len(pending) == _HANDOFF_ROWS:
-            pending.pop(0).result()
+            for future in pending.pop(0):
+                future.result()
         buffer = buffers[row % _HANDOFF_ROWS]
         np.copyto(buffer, intensities)
-        pending.append(writer.submit(write, row, buffer))
+        pending.append([writer.submit(write, next(numbers), row, line, file, start)
+                        for file, line in enumerate(buffer)
+                        for start in range(0, n, _BLOCK_ROWS)])
 
     try:
-        with ExitStack() as files, ThreadPoolExecutor(1, "profiles-writer") as writer:
+        with ExitStack() as files, ThreadPoolExecutor(_FORMATTERS, "profiles-writer") as writer:
             setup = writer.submit(set_up, files)
             try:
                 traces = kernel(hand_off)
             except BaseException:
-                writer.shutdown(cancel_futures=True)  # the pulses not yet begun
+                writer.shutdown(cancel_futures=True)  # the blocks not yet begun
                 raise
-            for future in pending:
+            for future in itertools.chain(*pending):
                 future.result()
         for temporary, path in zip(temporaries, paths):
             os.replace(temporary, path)

@@ -2,6 +2,7 @@
 ``np.savetxt``, their byte-for-byte reference; what search and analyze
 runs keep and write; how a sweep's points are cut into kernel batches."""
 
+import threading
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -99,14 +100,15 @@ def column_stacked_profiles(cavity, profiles):
 
 
 def streamed_profiles_bytes(path, cavity, profiles):
-    """``profiles.csv`` as the writer thread writes it, pulse by pulse."""
+    """``profiles.csv`` as the formatter threads write it, pulse by pulse."""
     _while_writing_profiles(
         lambda on_pulse: [on_pulse(row, profile[None]) for row, profile in enumerate(profiles)],
         [cavity], [path])
     return path.read_bytes()
 
 
-BLOCK_EDGE_SAMPLES = [1, 255, 256, 257, 513, 4095, 4097]
+# A block is 8192 rows, compacted 4096 rows at a time.
+BLOCK_EDGE_SAMPLES = [1, 255, 256, 257, 513, 4095, 4097, 8191, 8193]
 
 
 @pytest.mark.parametrize("n_samples, loss_factor", [
@@ -240,6 +242,59 @@ def test_lossless_search_formats_one_live_profile_column(tmp_path, monkeypatch, 
     pulses, n = cfg.n_pulses, 4096
     # The profiles' live columns, their counts and coordinates, then peaks.csv.
     assert sum(formatted) == live * pulses * n + pulses + n + 3 * pulses
+
+
+@pytest.mark.parametrize("switch_interval", [None, "short_switch_interval"])
+@pytest.mark.parametrize("preset", ["paper-42um", "ideal"])
+def test_profiles_are_in_file_order_whichever_formatter_finishes_first(
+        tmp_path, monkeypatch, request, preset, switch_interval):
+    # The first block's formatting waits until a later block has been
+    # formatted on the other thread, which therefore finishes first.
+    if switch_interval:
+        request.getfixturevalue(switch_interval)
+    cfg = build_config({"preset": preset, "grid_samples": 4096})
+    config = cfg.to_cavity_config()
+    first_x = b"%.9g" % config.grid.coordinates[0]
+    spell = runner._TableWriter.spell
+    later, held = threading.Event(), []
+
+    def spell_the_first_block_last(table, columns):
+        count, x = (bytes(column[0]).rstrip(b"\0") for column in columns[:2])
+        if (count, x) == (b"0.5", first_x):
+            held.append(later.wait(60))
+            return spell(table, columns)
+        rows = spell(table, columns)
+        later.set()
+        return rows
+
+    monkeypatch.setattr(runner._TableWriter, "spell", spell_the_first_block_last)
+    runner.run(cfg, tmp_path / "run")
+    assert held == [True]
+    _, (profiles,) = recorded([config])
+    expected = savetxt_bytes(tmp_path / "expected.csv", PROFILE_HEADER,
+                             column_stacked_profiles(config, profiles))
+    assert (tmp_path / "run" / "profiles.csv").read_bytes() == expected
+
+
+# tracemalloc peak of a paper-42um search run at 16384 samples with one
+# writer thread (bytes, numpy 2.4.6), and what two formatter threads may
+# add to it.  Each holds about 2.3 MB of buffers for its 8192-row
+# blocks, where the one writer held about 3.6 MB, 1.5 MB of it in
+# temporaries of each block: two formatters measured 7,658,338 bytes.
+ONE_WRITER_PEAK = 5_716_015
+FORMATTER_MARGIN = 2.5 * 1024 * 1024
+
+
+def test_search_memory_stays_within_the_formatter_budget(tmp_path):
+    cfg = build_config({"preset": "paper-42um"})
+    runner.run(cfg, tmp_path / "warm-up")  # fills numpy's FFT plan cache
+    tracemalloc.start()
+    try:
+        runner.run(cfg, tmp_path / "traced")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ONE_WRITER_PEAK + FORMATTER_MARGIN
 
 
 def test_search_memory_does_not_grow_with_the_pulse_count(tmp_path):
