@@ -212,14 +212,6 @@ def _native_half_pass(
     return np.multiply(field, scale, out=field)
 
 
-def _run_length(inside: np.ndarray) -> int:
-    """The number of leading True entries of ``inside``."""
-    if not inside.size:
-        return 0
-    first = int(np.argmin(inside))  # the first False, or 0 if there is none
-    return first if not inside[first] else inside.size
-
-
 def _lobe_center(intensity: np.ndarray, coords: np.ndarray, idx: int) -> float:
     """Position of the dominant intensity lobe.
 
@@ -231,11 +223,13 @@ def _lobe_center(intensity: np.ndarray, coords: np.ndarray, idx: int) -> float:
     at the plateau center for a (tilted) top-hat and at the peak for a
     smooth lobe.
     """
-    # The region is the run of samples >= half on each side of idx; any
-    # other sample ends it, a nan too.
-    inside = intensity >= intensity[idx] / 2.0
-    lo = idx - _run_length(inside[:idx][::-1])
-    hi = idx + _run_length(inside[idx + 1:])
+    half = intensity[idx] / 2.0
+    lo = idx
+    while lo > 0 and intensity[lo - 1] >= half:
+        lo -= 1
+    hi = idx
+    while hi < intensity.size - 1 and intensity[hi + 1] >= half:
+        hi += 1
     segment = intensity[lo : hi + 1]
     return float(np.sum(coords[lo : hi + 1] * segment) / np.sum(segment))
 

@@ -168,26 +168,16 @@ class _CellFormatter:
     ``_SPAN`` at a time, through a byte index of that many cells.
     """
 
-    def __init__(self, chunk: int, like: "_CellFormatter | None" = None) -> None:
-        """``like``, a formatter of the same ``chunk``, lends its read-only
-        ``templates`` and ``offsets``: formatters on two threads share
-        them and keep buffers of their own."""
+    def __init__(self, chunk: int) -> None:
         self.chunk = chunk
-        span = min(chunk, _SPAN)
         self.source = np.empty((_SOURCE_WORDS, chunk), dtype=np.uint32)
         self.source[0] = _CONST_WORD
         self.source_bytes = self.source.reshape(-1).view(np.uint8)
-        self.index = np.empty((span, _CELL_BYTES), dtype=np.intp)
+        self.templates = (_TEMPLATES // 4 * (4 * chunk) + _TEMPLATES % 4).astype(np.intp)
+        self.index = np.empty((min(chunk, _SPAN), _CELL_BYTES), dtype=np.intp)
         self.floats = np.empty((3, chunk))
         self.ints = np.empty((3, chunk), dtype=np.intp)
         self.flags = np.empty((2, chunk), dtype=bool)
-        if like is not None:
-            self.templates, self.offsets = like.templates, like.offsets
-            return
-        self.templates = (_TEMPLATES // 4 * (4 * chunk) + _TEMPLATES % 4).astype(np.intp)
-        # Full size: a broadcast (span, 1) operand adds 3x slower.
-        self.offsets = np.repeat(4 * np.arange(span, dtype=np.intp), _CELL_BYTES).reshape(
-            span, _CELL_BYTES)
 
     def __call__(self, values: np.ndarray, out: np.ndarray) -> None:
         """Fill ``out``, C-contiguous ``values.shape + (16,)``, with the
@@ -262,7 +252,7 @@ class _CellFormatter:
             stop = min(start + len(self.index), n)
             index = self.index[:stop - start]
             np.take(self.templates, key[start:stop], axis=0, out=index, mode="clip")
-            np.add(index, self.offsets[:stop - start], out=index)
+            np.add(index, _OFFSETS[:stop - start], out=index)
             np.take(self.source_bytes[4 * start:], index, out=cells[start:stop], mode="clip")
         np.logical_not(exact, out=flag)
         fallback = np.flatnonzero(flag)
@@ -285,6 +275,12 @@ class _CellFormatter:
 _BLOCK_ROWS = 8192
 _SPAN = 2048
 _TEXT_ROWS = 4096  # rows compacted at a time
+
+# Byte offsets of a span's cells in the source words, 4 bytes a cell,
+# read-only and shared by every formatter.  Full size: a broadcast
+# (span, 1) operand adds 3x slower.
+_OFFSETS = np.repeat(4 * np.arange(_SPAN, dtype=np.intp), _CELL_BYTES).reshape(
+    _SPAN, _CELL_BYTES)
 
 
 def _rows(array: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -310,16 +306,14 @@ class _TableWriter:
     call, so two writers on two threads hold a fixed amount of memory.
     """
 
-    def __init__(self, rows: int, live: int, like: "_TableWriter | None" = None) -> None:
+    def __init__(self, rows: int, live: int) -> None:
         """``rows`` per group, at most ``live`` distinct columns
-        formatted on each call; ``like``, a writer of the same ``rows``
-        and ``live``, shares its formatter's read-only tables."""
+        formatted on each call."""
         self.rows = rows
         self.block_rows = min(rows, _BLOCK_ROWS)
         self.values = np.empty(self.block_rows * live)
         self.cells = np.empty((self.block_rows * live, _CELL_BYTES), dtype=np.uint8)
-        self.formatter = _CellFormatter(max(self.values.size, 1),
-                                        None if like is None else like.formatter)
+        self.formatter = _CellFormatter(max(self.values.size, 1))
         self.widths = None
 
     def format(self, values) -> np.ndarray:
@@ -578,8 +572,7 @@ def _while_writing_profiles(kernel, cavities: list, paths: list[Path]) -> list:
     # A lossless pulse's compensated column is its intensity (line * 1.0
     # is line, bit for bit): one column to format.
     live = 1 if np.all(compensation == 1.0) else 2
-    tables = [_TableWriter(n, live)]
-    tables += [_TableWriter(n, live, tables[0]) for _ in range(_FORMATTERS - 1)]
+    tables = [_TableWriter(n, live) for _ in range(_FORMATTERS)]
     idle = queue.SimpleQueue()  # a (writer, row buffer) per formatter thread
     for table in tables:
         idle.put((table, np.empty(table.block_rows)))

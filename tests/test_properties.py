@@ -9,9 +9,7 @@ one-row runs, bit for bit.  Below 16384 samples numpy computes some
 operations in different temporaries than above, so these sizes are
 checked on their own.  The loop's slit energies are the sums of the
 recorded profiles times the slit overlap, bit for bit, wherever the slit
-sits, and its lobe center is the centroid of the half-maximum run that
-two Python walks find, plateaus at either grid edge and nans included.
-Two more facts follow: the centered transform
+sits.  Two more facts follow: the centered transform
 preserves energy, and ``first_maximum`` ignores a uniform scale of the
 peak values, and the two-amplitude model follows the full state vector
 for any register, marked count and phases.  The file closes with the
@@ -173,43 +171,6 @@ def test_loop_slit_energy_is_the_profile_sum_bit_for_bit(n, seed, slits):
         expected = [np.sum(profile * overlap) for profile in rows]
         assert measured.slit_energies.tolist() == expected
         assert kept.slit_energies.tolist() == expected
-
-
-def walked_lobe_center(intensity: np.ndarray, coords: np.ndarray, idx: int) -> float:
-    """``_lobe_center`` as two Python walks out from ``idx`` while the
-    next sample is ``>= half``; a nan stops a walk."""
-    half = intensity[idx] / 2.0
-    lo = idx
-    while lo > 0 and intensity[lo - 1] >= half:
-        lo -= 1
-    hi = idx
-    while hi < intensity.size - 1 and intensity[hi + 1] >= half:
-        hi += 1
-    segment = intensity[lo : hi + 1]
-    return float(np.sum(coords[lo : hi + 1] * segment) / np.sum(segment))
-
-
-# Few distinct levels, so plateaus, ties at exactly half the peak and
-# runs that reach either grid edge are common.
-levels = st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, np.nan, np.inf])
-
-
-@example(intensity=[2.0, 2.0, 2.0], where=1)  # the plateau is the whole grid
-@example(intensity=[4.0, 2.0, 1.0, 4.0], where=0)  # from the left edge
-@example(intensity=[0.0, 1.0, 2.0, 4.0], where=3)  # from the right edge
-@example(intensity=[4.0, np.nan, 4.0], where=1)  # a nan peak is a lobe of one
-@example(intensity=[1.0], where=0)
-@given(intensity=st.lists(st.one_of(levels, st.floats(min_value=0.0, max_value=8.0)),
-                          min_size=1, max_size=64),
-       where=st.integers(min_value=0))
-def test_lobe_center_is_the_walked_half_maximum_centroid(intensity, where):
-    intensity = np.array(intensity)
-    coords = np.arange(1, intensity.size + 1) * 1e-6
-    idx = where % intensity.size
-    with np.errstate(all="ignore"):  # a lobe of zeros, or of inf, has a nan centroid
-        expected = walked_lobe_center(intensity, coords, idx)
-        got = cavity._lobe_center(intensity, coords, idx)
-    assert got == expected or (np.isnan(got) and np.isnan(expected))
 
 
 @settings(deadline=None)

@@ -276,25 +276,29 @@ def test_profiles_are_in_file_order_whichever_formatter_finishes_first(
     assert (tmp_path / "run" / "profiles.csv").read_bytes() == expected
 
 
-# tracemalloc peak of a paper-42um search run at 16384 samples with one
-# writer thread (bytes, numpy 2.4.6), and what two formatter threads may
-# add to it.  Each holds about 2.3 MB of buffers for its 8192-row
-# blocks, where the one writer held about 3.6 MB, 1.5 MB of it in
-# temporaries of each block: two formatters measured 7,658,338 bytes.
-ONE_WRITER_PEAK = 5_716_015
-FORMATTER_MARGIN = 2.5 * 1024 * 1024
+# What each formatter thread may add to the tracemalloc peak of a
+# paper-42um search run at 16384 samples.  Its buffers for one 8192-row
+# block measure about 2.3 MB: 7,402,947 bytes with two formatters against
+# 5,093,486 with one (numpy 2.4.6).
+FORMATTER_BUDGET = 2.5 * 1024 * 1024
 
 
-def test_search_memory_stays_within_the_formatter_budget(tmp_path):
+def test_search_memory_stays_within_the_formatter_budget(tmp_path, monkeypatch):
     cfg = build_config({"preset": "paper-42um"})
     runner.run(cfg, tmp_path / "warm-up")  # fills numpy's FFT plan cache
-    tracemalloc.start()
-    try:
-        runner.run(cfg, tmp_path / "traced")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < ONE_WRITER_PEAK + FORMATTER_MARGIN
+    formatters = runner._FORMATTERS
+
+    def peak(formatters):
+        monkeypatch.setattr(runner, "_FORMATTERS", formatters)
+        tracemalloc.start()
+        try:
+            runner.run(cfg, tmp_path / f"traced-{formatters}")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(1)
+    assert peak(formatters) - one < (formatters - 1) * FORMATTER_BUDGET
 
 
 def test_search_memory_does_not_grow_with_the_pulse_count(tmp_path):
