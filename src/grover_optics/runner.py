@@ -21,21 +21,16 @@ formats, the longest text for one spelled ahead, such as a profile's
 coordinates.
 
 Search mode writes ``profiles.csv`` while the pulse loop runs: the loop
-hands each pulse's intensities to two formatter threads, which spell its
-blocks of rows at the same time and write them in file order, so no run
-keeps its ``(P, n)`` profiles.  Every formatter step is a numpy call
-that releases the interpreter lock, the block's compaction too, so the
-two threads and the loop share both cores.  The file is written under a
-temporary name and moved into place once the run has succeeded (see
-``_while_writing_profiles``).
+hands each pulse's intensities to one writer thread, which adds that
+pulse's rows to the file, so no run keeps its ``(P, n)`` profiles.  The
+file is written under a temporary name and moved into place once the
+run has succeeded (see ``_while_writing_profiles``).
 """
 
 import itertools
 import json
 import math
 import os
-import queue
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, suppress
 from dataclasses import asdict
@@ -159,9 +154,8 @@ class _CellFormatter:
 
     Values are formatted ``chunk`` at a time into buffers that every
     chunk reuses, so a call allocates nothing that grows with its
-    values: one formatter serves every block of a table, and formatters
-    on two threads hold a fixed amount of memory between them.  The
-    source words are stored word by word, ``source[w, cell]``, so each
+    values: one formatter serves every block of a table.  The source
+    words are stored word by word, ``source[w, cell]``, so each
     table lookup writes its word in place; ``templates`` are
     ``_TEMPLATES`` moved to that layout.  Every index is an intp, which
     ``np.take`` reads without a converted copy.  The cells are gathered
@@ -261,20 +255,15 @@ class _CellFormatter:
             cells[fallback] = np.array(text, "S16").view(np.uint8).reshape(-1, _CELL_BYTES)
 
 
-# Rows per written block, and cells per gather through the formatter's
-# byte index.  A block is one formatter call, so every numpy call of a
-# profiles.csv block covers 16384 values, or 8192 for a lossless cavity,
-# whose rows format one value.  Each call hands the interpreter lock
-# back and forth, so fewer, longer calls are what lets two formatter
-# threads share the cores: with 4096-row blocks a paper-42um search run
-# took as long as with one writer thread, with 8192-row blocks about 10%
-# less.  The formatter's buffers hold 70 bytes a value and 128 a span
-# cell.  A profiles.csv block row is 49 bytes (two formatted 16-byte
-# cells, the count and coordinate texts at their own widths, 4
-# separators).
-_BLOCK_ROWS = 8192
+# Rows per written block.  A profiles.csv block row is 49 bytes (two
+# formatted 16-byte cells, the count and coordinate texts at their own
+# widths, 4 separators): about 200 KB a block.
+_BLOCK_ROWS = 4096
+
+# Cells per gather through the formatter's byte index, which holds 128
+# bytes a cell: a span bounds it at 256 KiB whatever the formatter's
+# chunk.  The formatter's other buffers hold 70 bytes a value.
 _SPAN = 2048
-_TEXT_ROWS = 4096  # rows compacted at a time
 
 # Byte offsets of a span's cells in the source words, 4 bytes a cell,
 # read-only and shared by every formatter.  Full size: a broadcast
@@ -291,19 +280,16 @@ def _rows(array: np.ndarray, start: int, stop: int) -> np.ndarray:
 class _TableWriter:
     """Writes CSV rows of float64 columns at 9 significant digits.
 
-    Each cell is the text of ``'%.9g' % value``.  ``spell`` lays one
-    block of at most ``block_rows`` rows through one formatter call,
-    ``texts`` compacts it, and ``write`` writes a group of ``rows`` rows
-    a block at a time.  A column is a float64 array,
-    formatted in that call, or cells that ``format`` spelled ahead for a
-    column that every group repeats.  A block row lays each column's
-    cell at that column's width, NUL-padded and followed by its
-    separator: 16 bytes for a formatted column, the longest text for a
-    spelled one.  Cells are copied as single ``V<width>`` items, and the
-    text is the block's bytes picked out by a boolean mask of its
-    non-NUL bytes, which, unlike ``bytes.translate``, releases the
-    interpreter lock.  The buffers are reused by every block and every
-    call, so two writers on two threads hold a fixed amount of memory.
+    Each cell is the text of ``'%.9g' % value``.  The writer writes a
+    group of ``rows`` rows per ``write`` call, a block of rows at a time
+    through one formatter call.  A column is a float64 array, formatted
+    in that call, or cells that ``format`` spelled ahead for a column
+    that every group repeats.  A block row lays each column's cell at
+    that column's width, NUL-padded and followed by its separator, and
+    is compacted with ``bytes.translate``: 16 bytes for a formatted
+    column, the longest text for a spelled one.  Cells are copied as
+    single ``V<width>`` items.  The buffers are reused by every block
+    and every call.
     """
 
     def __init__(self, rows: int, live: int) -> None:
@@ -336,13 +322,13 @@ class _TableWriter:
         self.slots = [block[:, end - 1 - width:end - 1].view(f"V{width}")[:, 0]
                       for end, width in zip(ends.tolist(), widths)]
 
-    def spell(self, columns: list) -> int:
-        """Lay one block of rows into ``block``; return its row count.
+    def write(self, fh, columns: list) -> None:
+        """Write one group of rows to ``fh``.
 
-        A column is either the cells of ``format`` or a float64 array;
-        an array passed as two columns is formatted once.  Each holds the
-        block's rows, at most ``block_rows``, or one that every row
-        repeats.
+        A column is either the cells of ``format`` or a float64 array,
+        formatted a block at a time; an array passed as two columns is
+        formatted once.  Each holds ``rows`` entries, or one that every
+        row repeats.
         """
         distinct: dict[int, tuple] = {}  # id(array) -> (slot, array)
         slots = [distinct.setdefault(id(column), (len(distinct), column))[0]
@@ -351,36 +337,19 @@ class _TableWriter:
                        for column, slot in zip(columns, slots))
         if widths != self.widths:
             self._lay_out(widths)
-        n, k = max(map(len, columns)), len(distinct)
-        values, cells = self.values[:n * k].reshape(n, k), self.cells[:n * k]
-        for slot, array in distinct.values():
-            values[:, slot] = array
-        self.formatter(values, cells)
-        formatted = cells.view(f"V{_CELL_BYTES}").reshape(n, k)
-        for out, column, slot in zip(self.slots, columns, slots):
-            out[:n] = column if slot is None else formatted[:, slot]
-        return n
-
-    def texts(self, n: int):
-        """The text of the block's first ``n`` rows, its NULs dropped: one
-        new uint8 array per ``_TEXT_ROWS`` rows.  Written through
-        ``writelines``, each piece and its mask are freed before the
-        next is made."""
-        for start in range(0, n, _TEXT_ROWS):
-            block = self.block[start:min(start + _TEXT_ROWS, n)]
-            yield block[block != 0]
-
-    def write(self, fh, columns: list) -> None:
-        """Write one group of rows to ``fh``, a block at a time.
-
-        A column is as for ``spell``, but holds ``rows`` entries, or one.
-        """
+        k = len(distinct)
         for start in range(0, self.rows, _BLOCK_ROWS):
-            stop = start + _BLOCK_ROWS
-            # One view per distinct array: an array passed twice stays
-            # one column to format.
-            rows = {id(column): _rows(column, start, stop) for column in columns}
-            fh.writelines(self.texts(self.spell([rows[id(column)] for column in columns])))
+            stop = min(start + _BLOCK_ROWS, self.rows)
+            n = stop - start
+            values, cells = self.values[:n * k].reshape(n, k), self.cells[:n * k]
+            for slot, array in distinct.values():
+                values[:, slot] = _rows(array, start, stop)
+            self.formatter(values, cells)
+            formatted = cells.view(f"V{_CELL_BYTES}").reshape(n, k)
+            for out, column, slot in zip(self.slots, columns, slots):
+                out[:n] = (_rows(column, start, stop) if slot is None
+                           else formatted[:, slot])
+            fh.write(self.block[:n].tobytes().translate(None, b"\0"))
 
 
 def _write_table(path: Path, header: str, columns) -> None:
@@ -534,109 +503,70 @@ def _run_reference_mode(cfg: ExperimentConfig, out_dir: Path) -> dict:
     }, warnings)
 
 
-# Pulses the loop may run ahead of the profile writer, and the threads
-# that format their blocks.
+# Pulses the loop may run ahead of the profile writer.
 _HANDOFF_ROWS = 2
-_FORMATTERS = 2
 
 
 def _while_writing_profiles(kernel, cavities: list, paths: list[Path]) -> list:
     """``kernel(on_pulse)``, the pulse loop over ``cavities``, on this
-    thread, while ``_FORMATTERS`` threads write their ``profiles.csv``
-    files to ``paths``; returns the loop's traces.
+    thread, while one writer thread writes their ``profiles.csv`` files
+    to ``paths``; returns the loop's traces.
 
     Each file holds, per pulse, one group of rows: the pulse's iteration
     count, the grid coordinates, the intensity and the intensity times
-    the pulse's compensation factor.  The loop copies each pulse's
-    ``(B, n)`` intensities into one of ``_HANDOFF_ROWS`` buffers and
-    hands each block of each file's rows to the formatter threads as a
-    task of its own, after the set-up task that spells the counts and
-    coordinates and opens the files.  Each thread spells a block into
-    its own ``_TableWriter``, then waits for the block's turn in file
-    order to compact and write it, so the files are in order whichever
-    thread finishes first, and only one block's text exists at a time.
-    Once ``_HANDOFF_ROWS`` pulses are pending, the loop first waits for
-    the oldest one's blocks, whose buffer it refills; that bounds the
-    blocks in flight.  A writer error is raised at the loop's next wait,
-    so it stops the loop within ``_HANDOFF_ROWS`` pulses, and it ends
-    every later block's wait for its turn; a loop error, or an
-    interrupt, cancels the blocks no formatter has begun.  Either way
-    the threads have ended when this returns.  The files are written
+    the pulse's compensation factor.  The writer's set-up is its first
+    task, and each pulse is one more, which writes that pulse's rows to
+    every file.  The loop copies each pulse's ``(B, n)`` intensities into
+    one of ``_HANDOFF_ROWS`` buffers, and once that many pulses are
+    pending it first waits for the oldest, whose buffer it refills.  A
+    writer error is raised at the loop's next wait, so it stops the loop
+    within ``_HANDOFF_ROWS`` pulses; a loop error, or an interrupt,
+    cancels the pulses the writer has not begun.  Either way the
+    writer thread has ended when this returns.  The files are written
     under temporary sibling names and moved onto ``paths`` only once the
-    loop and the writers have all succeeded; on any error the
+    loop and the writer have both succeeded; on any error the
     temporaries are removed, so a failed run leaves no ``profiles.csv``.
     """
     temporaries = [path.with_name(path.name + ".tmp") for path in paths]
-    n = cavities[0].grid.n_samples
-    counts, compensation = _pulse_counts(cavities[0])
-    # A lossless pulse's compensated column is its intensity (line * 1.0
-    # is line, bit for bit): one column to format.
-    live = 1 if np.all(compensation == 1.0) else 2
-    tables = [_TableWriter(n, live) for _ in range(_FORMATTERS)]
-    idle = queue.SimpleQueue()  # a (writer, row buffer) per formatter thread
-    for table in tables:
-        idle.put((table, np.empty(table.block_rows)))
-    buffers = [np.empty((len(cavities), n)) for _ in range(_HANDOFF_ROWS)]
-    pending = []  # each pulse's block futures, oldest pulse first
-    numbers = itertools.count()  # blocks in file order, as handed over
-    turn = threading.Condition()
-    written, failed = 0, False  # blocks written; whether a block failed
+    buffers = [np.empty((len(cavities), cavities[0].grid.n_samples))
+               for _ in range(_HANDOFF_ROWS)]
+    pending = []  # the pulses' futures, oldest first
 
     def set_up(files: ExitStack) -> tuple:
-        cells = tables[0].format(counts[:, None]), tables[0].format(cavities[0].grid.coordinates)
+        counts, compensation = _pulse_counts(cavities[0])
+        coordinates = cavities[0].grid.coordinates
+        table = _TableWriter(coordinates.size, 2)
+        cells = table.format(counts[:, None]), table.format(coordinates)
         handles = [files.enter_context(open(path, "wb")) for path in temporaries]
         for fh in handles:
             fh.write(_PROFILES_HEADER)
-        return cells, handles
+        return table, cells, compensation, np.empty(coordinates.size), handles
 
-    def write(number: int, row: int, line: np.ndarray, file: int, start: int) -> None:
-        # Spells block ``number`` on this thread, then waits for its
-        # turn to compact and write it.  Only the thread whose turn it is
-        # holds a block's text, so the writers' memory is the same on
-        # every run.  A failed block ends every later block's wait.
-        nonlocal written, failed
-        (count_cells, coordinate_cells), handles = setup.result()
-        table, scaled = idle.get()
-        try:
-            stop = start + _BLOCK_ROWS
-            line = line[start:stop]
-            compensated = (line if live == 1
-                           else np.multiply(line, compensation[row], out=scaled[:line.size]))
-            rows = table.spell([count_cells[row], coordinate_cells[start:stop], line,
-                                compensated])
-            with turn:
-                turn.wait_for(lambda: written == number or failed)
-                if not failed:
-                    handles[file].writelines(table.texts(rows))
-                    written += 1
-                    turn.notify_all()
-        except BaseException:
-            with turn:
-                failed = True
-                turn.notify_all()
-            raise
-        finally:
-            idle.put((table, scaled))
+    def write(row: int, intensities: np.ndarray) -> None:
+        table, (count_cells, coordinate_cells), compensation, scaled, handles = setup.result()
+        for fh, line in zip(handles, intensities):
+            # A lossless pulse's compensated column is its intensity
+            # (line * 1.0 is line, bit for bit): one column to format.
+            compensated = (line if compensation[row] == 1.0
+                           else np.multiply(line, compensation[row], out=scaled))
+            table.write(fh, [count_cells[row], coordinate_cells, line, compensated])
 
     def hand_off(row: int, intensities: np.ndarray) -> None:
         if len(pending) == _HANDOFF_ROWS:
-            for future in pending.pop(0):
-                future.result()
+            pending.pop(0).result()
         buffer = buffers[row % _HANDOFF_ROWS]
         np.copyto(buffer, intensities)
-        pending.append([writer.submit(write, next(numbers), row, line, file, start)
-                        for file, line in enumerate(buffer)
-                        for start in range(0, n, _BLOCK_ROWS)])
+        pending.append(writer.submit(write, row, buffer))
 
     try:
-        with ExitStack() as files, ThreadPoolExecutor(_FORMATTERS, "profiles-writer") as writer:
+        with ExitStack() as files, ThreadPoolExecutor(1, "profiles-writer") as writer:
             setup = writer.submit(set_up, files)
             try:
                 traces = kernel(hand_off)
             except BaseException:
-                writer.shutdown(cancel_futures=True)  # the blocks not yet begun
+                writer.shutdown(cancel_futures=True)  # the pulses not yet begun
                 raise
-            for future in itertools.chain(*pending):
+            for future in pending:
                 future.result()
         for temporary, path in zip(temporaries, paths):
             os.replace(temporary, path)

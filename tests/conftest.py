@@ -1,5 +1,4 @@
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -80,18 +79,6 @@ def compensated_rows(trace, profiles: np.ndarray, loss_factor: float) -> np.ndar
         profile * loss_factor ** (-count)
         for count, profile in zip(trace.iteration_counts, profiles)
     ])
-
-
-@pytest.fixture
-def short_switch_interval():
-    """Threads switch every microsecond, so interleavings that a 5 ms
-    interval makes rare happen in every run."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
 
 
 @pytest.fixture

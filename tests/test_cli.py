@@ -481,9 +481,19 @@ def serial_profiles(config, path):
     return path.read_bytes()
 
 
+@pytest.fixture
+def short_switch_interval():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestProfileWriterThread:
-    """Search mode writes profiles.csv on two formatter threads while the
-    pulse loop runs; neither side may hang the other or outlive the call."""
+    """Search mode writes profiles.csv on a writer thread while the pulse
+    loop runs; neither side may hang the other or outlive the call."""
 
     def test_unwritable_profiles_exits_4_without_hanging(self, tmp_path, capsys):
         # With profiles.csv a directory, the writer writes the temporary
@@ -509,12 +519,12 @@ class TestProfileWriterThread:
 
     def test_writer_error_wakes_a_waiting_loop(self, tmp_path, monkeypatch, capsys):
         # By the time this writer fails, the loop has handed over
-        # _HANDOFF_ROWS pulses and waits on the oldest one's blocks.
-        def fail_later(table, columns):
+        # _HANDOFF_ROWS pulses and waits on the oldest one's future.
+        def fail_later(table, fh, columns):
             time.sleep(0.5)
             raise OSError("disk full")
 
-        monkeypatch.setattr(runner._TableWriter, "spell", fail_later)
+        monkeypatch.setattr(runner._TableWriter, "write", fail_later)
         cfg = write_config(tmp_path, preset="paper-42um", **SMALL_GRID)
         out = tmp_path / "out"
         assert main_on_a_thread(["run", "--config", str(cfg), "--out", str(out)]) == {"code": 4}
@@ -523,7 +533,7 @@ class TestProfileWriterThread:
     def test_writer_error_stops_the_loop_at_its_next_wait(self, tmp_path, monkeypatch,
                                                           capsys):
         # The writer fails on pulse 0; the loop runs on until it waits on
-        # that pulse's blocks, with _HANDOFF_ROWS more pulses handed over.
+        # that pulse's future, with _HANDOFF_ROWS more pulses handed over.
         measured = []
         original = cavity._lobe_center
 
@@ -531,11 +541,11 @@ class TestProfileWriterThread:
             measured.append(idx)
             return original(intensity, coords, idx)
 
-        def fail(table, columns):
+        def fail(table, fh, columns):
             raise OSError("disk full")
 
         monkeypatch.setattr(cavity, "_lobe_center", count)
-        monkeypatch.setattr(runner._TableWriter, "spell", fail)
+        monkeypatch.setattr(runner._TableWriter, "write", fail)
         cfg = write_config(tmp_path, preset="paper-42um", n_pulses=12, **SMALL_GRID)
         out = tmp_path / "out"
         assert main_on_a_thread(["run", "--config", str(cfg), "--out", str(out)]) == {"code": 4}
@@ -564,19 +574,17 @@ class TestProfileWriterThread:
         assert list(out.iterdir()) == []
 
     def test_loop_error_cancels_the_pulses_not_yet_written(self, tmp_path, monkeypatch):
-        # A pulse of twice _BLOCK_ROWS samples is two blocks.  The loop
-        # fails on pulse 2 while the formatters are inside pulse 0's two
-        # blocks and pulse 1's are queued behind them.  Pulse 0's blocks then linger, so
-        # the failing loop reaches the writer first: pulse 1 must not be
-        # formatted into a temporary that is removed anyway.
+        # The loop fails on pulse 2 while the writer is inside pulse 0's
+        # write and pulse 1's is queued behind it.  Pulse 0's write then
+        # lingers, so the failing loop reaches the writer first: pulse 1
+        # must not be written into a temporary that is removed anyway.
         began, failed = threading.Event(), threading.Event()
         writes, measured = [], []
         original = cavity._lobe_center
 
-        def hold(table, columns):
-            writes.append(columns)
-            if len(writes) == runner._FORMATTERS:  # both formatters are inside pulse 0
-                began.set()
+        def hold(table, fh, columns):
+            writes.append(fh)
+            began.set()
             failed.wait(60)
             time.sleep(0.2)
 
@@ -588,14 +596,13 @@ class TestProfileWriterThread:
                 raise RuntimeError("measurement failed")
             return original(intensity, coords, idx)
 
-        monkeypatch.setattr(runner._TableWriter, "spell", hold)
+        monkeypatch.setattr(runner._TableWriter, "write", hold)
         monkeypatch.setattr(cavity, "_lobe_center", fail_on_pulse_3)
-        cfg = write_config(tmp_path, preset="paper-42um", grid_samples=2 * runner._BLOCK_ROWS,
-                           grid_pitch_um=2.0)
+        cfg = write_config(tmp_path, preset="paper-42um", **SMALL_GRID)
         out = tmp_path / "out"
         result = main_on_a_thread(["run", "--config", str(cfg), "--out", str(out)])
         assert type(result["error"]) is RuntimeError
-        assert len(writes) == runner._FORMATTERS
+        assert len(writes) == 1
         assert list(out.iterdir()) == []
 
     def test_run_profiles_under_a_short_switch_interval(self, tmp_path, short_switch_interval):
@@ -608,7 +615,7 @@ class TestProfileWriterThread:
 
     def test_sweep_profiles_with_more_threads_than_cores(self, tmp_path, short_switch_interval):
         # Three pulse counts make three kernel chunks: three sweep threads,
-        # each with its two formatter threads.
+        # each with its writer thread.
         raw = {"preset": "paper-42um", **SMALL_GRID}
         cfg = write_config(tmp_path, **raw, sweep=[{"parameter": "n_pulses",
                                                     "values": [6.0, 8.0, 10.0]}])
