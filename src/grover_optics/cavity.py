@@ -34,13 +34,13 @@ on the same operands, so the profiles are bit-identical to the centered
 chain; ``tests/oracle.py`` writes that chain in plain numpy and the
 tests hold the kernel to it bit for bit.
 
-The loop runs B compatible cavities at once (a sweep
-over oracle plates, say) along a leading batch axis: the circulating
-fields and oracle phasors are ``(B, n)`` arrays, the IAA phasor is one
-``(n,)`` array broadcast across the batch, and each half pass writes
-into the same preallocated buffers.  Each row's arithmetic is the
-single-cavity arithmetic, so batching changes no bit.  ``run_search``
-is the batch of one.
+The loop runs B cavities with one grid and pulse count at once along
+a leading batch axis: the circulating fields and both plate phasors
+are ``(B, n)`` arrays, the loss scale and the output transmission
+``(B, 1)`` columns, and each half pass writes into the same
+preallocated buffers.  Each row's arithmetic is the single-cavity
+arithmetic, so batching changes no bit.  ``run_search`` is the batch
+of one.
 
 Each pulse is measured in the loop, row by row, on its intensity: the
 brightest sample, the lobe center, the total energy and the energy
@@ -118,6 +118,17 @@ class CavityConfig:
                 )
         if self.n_pulses < 1:
             raise ConfigurationError(f"n_pulses must be >= 1, got {self.n_pulses}")
+        # The last pulse's compensation (``_pulse_counts``) must be finite,
+        # and its mean intensity normal, so that its brightest sample, at
+        # least the mean, has a lobe to measure.
+        with np.errstate(over="ignore"):
+            compensation = self.roundtrip_energy_factor ** (0.5 - np.float64(self.n_pulses))
+        mean = self.output_mirror_transmission / compensation / self.grid.extent
+        if not (mean >= np.finfo(np.float64).tiny):
+            raise ConfigurationError(
+                f"pulse {self.n_pulses} leaves float64's normal range: mean intensity "
+                f"{mean:.6g} at loss compensation {compensation:.6g}"
+            )
         if not (self.input_fwhm < self.grid.extent / 2):
             raise ConfigurationError(
                 f"input_fwhm {self.input_fwhm:.6g} m must be below half the "
@@ -191,20 +202,20 @@ class SearchTrace:
 
 
 def _native_half_pass(
-    field: np.ndarray, iaa: np.ndarray, scale: float, spectrum: np.ndarray
+    field: np.ndarray, iaa: np.ndarray, scale: float | np.ndarray, spectrum: np.ndarray
 ) -> np.ndarray:
     """Lens, IAA plate, inverse lens and half the roundtrip loss, on
     FFT-native arrays: FFT, IAA phasor, iFFT, loss.
 
     Works in place along the last axis: ``field`` (one row or a
     ``(B, n)`` batch) is overwritten with the result and returned, and
-    ``spectrum``, of the same shape, holds the Fourier plane.  ``iaa``
-    is the ``ifftshift``ed ``(n,)`` phasor, broadcast over the batch, and
-    ``scale`` the amplitude factor of the loss.  The result is upright
-    (oracle-plane orientation); the physical second lens adds a parity
-    flip, F = parity after F^-1, which the caller applies where it needs
-    it.  ``out=`` on the fft functions needs numpy 2.0, the package's
-    declared floor.
+    ``spectrum``, of the same shape, holds the Fourier plane.  ``iaa`` is
+    each row's ``ifftshift``ed phasor, shaped as ``field``, and ``scale``
+    the loss's amplitude factor, a float or a ``(B, 1)`` column.  The
+    result is upright (oracle-plane orientation); the physical second
+    lens adds a parity flip, F = parity after F^-1, which the caller
+    applies where it needs it.  ``out=`` on the fft functions needs
+    numpy 2.0, the package's declared floor.
     """
     np.fft.fft(field, norm="ortho", out=spectrum)
     np.multiply(iaa, spectrum, out=spectrum)
@@ -235,14 +246,10 @@ def _lobe_center(intensity: np.ndarray, coords: np.ndarray, idx: int) -> float:
 
 
 def _batch_key(config: CavityConfig) -> tuple:
-    """The settings that cavities run together by ``_run_batch`` share.
-
-    Only the oracle plate, the input FWHM and the slit may differ
-    between rows; each row measures its own slit.
-    """
-    return (config.grid, config.wavelength, config.focal_length_1,
-            config.roundtrip_energy_factor, config.output_mirror_transmission,
-            config.n_pulses, config.iaa_plate)
+    """The settings that cavities run together by ``_run_batch`` share:
+    the two that fix the arrays' shapes.  Every other setting is a row's
+    own."""
+    return config.grid, config.n_pulses
 
 
 def _pulse_counts(config: CavityConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -254,47 +261,38 @@ def _pulse_counts(config: CavityConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_batch(configs: list[CavityConfig], on_pulse=None) -> list[SearchTrace]:
-    """Run compatible cavities as the rows of one array; one trace each.
+    """Run cavities as the rows of one array; one trace each.
 
-    Every config must have the same ``_batch_key``.  The circulating
-    fields and oracle phasors are ``(B, n)`` arrays in FFT-native order,
-    the IAA phasor one ``(n,)`` array shared by every row, and each half
-    pass overwrites the same preallocated buffers.  All arithmetic is
-    row-wise, so each row's trace is bit-identical to running its config
-    alone.  After measuring pulse ``row`` the loop calls
-    ``on_pulse(row, intensities)`` with the ``(B, n)`` centered
-    intensities, a buffer the next pulse overwrites.  A row's slit
-    energy is ``np.sum(line * overlap)`` of its intensity line and slit
-    overlap, with the product written into one reused buffer: the
-    operands and the full-length sum of a handed-off profile, so the
-    same bits.
+    Every config must have the same ``_batch_key``; each row's IAA phasor
+    is built on its own Fourier grid (see the module docstring for the
+    layout).  All arithmetic is row-wise, so each row's trace is
+    bit-identical to running its config alone.  After measuring pulse
+    ``row`` the loop calls ``on_pulse(row, intensities)`` with the
+    ``(B, n)`` centered intensities, a buffer the next pulse overwrites.
+    A row's slit energy is ``np.sum(line * overlap)`` of its intensity
+    line and slit overlap, with the product written into one reused
+    buffer: the operands and the full-length sum of a handed-off
+    profile, so the same bits.
     """
     first = configs[0]
     if any(_batch_key(config) != _batch_key(first) for config in configs):
-        raise ValueError(
-            "batched cavities may differ only in slit, oracle plate and input FWHM"
-        )
+        raise ValueError("batched cavities must share the grid and the pulse count")
     rows, n, n_pulses = len(configs), first.grid.n_samples, first.n_pulses
-    scale = first.roundtrip_energy_factor ** (0.5 / 2.0)
-    transmission = first.output_mirror_transmission
+    scale = np.array([[c.roundtrip_energy_factor ** (0.5 / 2.0)] for c in configs])
+    transmission = np.array([[c.output_mirror_transmission] for c in configs])
     pitch = first.grid.pitch
     coords = first.grid.coordinates
     half = (n + 1) // 2  # fftshift moves samples [half, n) to the front
 
-    iteration_counts, compensation = _pulse_counts(first)
-    peak_positions = np.empty((rows, n_pulses))
-    peak_values = np.empty((rows, n_pulses))
-    energies = np.empty((rows, n_pulses))
-    slit_energies = np.empty((rows, n_pulses))
+    peak_positions, peak_values, energies, slit_energies = np.empty((4, rows, n_pulses))
     at_edge = np.zeros((rows, n_pulses), dtype=bool)
 
-    oracle = np.fft.ifftshift(
-        np.stack([plate_phasor(c.oracle_plate, c.grid) for c in configs]), axes=-1
-    )
-    iaa = np.fft.ifftshift(plate_phasor(first.iaa_plate, first.fourier_grid.as_grid()))
-    circulating = np.fft.ifftshift(
-        np.stack([gaussian_input(c.grid, c.input_fwhm) for c in configs]), axes=-1
-    )
+    def native(lines: list) -> np.ndarray:  # the (B, n) stack in FFT-native order
+        return np.fft.ifftshift(np.stack(lines), axes=-1)
+
+    oracle = native([plate_phasor(c.oracle_plate, c.grid) for c in configs])
+    iaa = native([plate_phasor(c.iaa_plate, c.fourier_grid.as_grid()) for c in configs])
+    circulating = native([gaussian_input(c.grid, c.input_fwhm) for c in configs])
     field = np.empty_like(circulating)
     spectrum = np.empty_like(circulating)
     power = np.empty((rows, n))
@@ -325,6 +323,8 @@ def _run_batch(configs: list[CavityConfig], on_pulse=None) -> list[SearchTrace]:
             at_edge[b, row] = idx in (0, n - 1)
         if on_pulse is not None:
             on_pulse(row, intensities)
+        if row == n_pulses - 1:
+            break
 
         # Backward half pass: flip to the physical output orientation,
         # traverse IAA and oracle once more, and arrive back upright.
@@ -334,16 +334,11 @@ def _run_batch(configs: list[CavityConfig], on_pulse=None) -> list[SearchTrace]:
         np.multiply(oracle, field, out=circulating)
 
     return [
-        SearchTrace(
-            iteration_counts=iteration_counts.copy(),
-            peak_positions=peak_positions[b],
-            peak_values=peak_values[b],
-            compensation=compensation.copy(),
-            total_energies=energies[b],
-            slit_energies=slit_energies[b],
-            peak_at_edge=at_edge[b],
-        )
-        for b in range(rows)
+        SearchTrace(iteration_counts=counts, peak_positions=peak_positions[b],
+                    peak_values=peak_values[b], compensation=compensation,
+                    total_energies=energies[b], slit_energies=slit_energies[b],
+                    peak_at_edge=at_edge[b])
+        for b, (counts, compensation) in enumerate(map(_pulse_counts, configs))
     ]
 
 
@@ -353,13 +348,13 @@ def run_search(config: CavityConfig, on_pulse=None) -> SearchTrace:
     This is ``_run_batch`` with a batch of one.  The circulating field
     is kept at the input mirror in the oracle frame, in FFT-native order
     (see the module docstring).  Each loop turn records the output-plane
-    image (upright orientation, via the forward half pass), then
-    completes the roundtrip with the mirrored backward half pass to
-    advance the field.  Both plates act once per half pass with the same
-    mask, so each phasor is built once, before the pulse loop.  The trace
-    keeps the per-pulse measurements; ``on_pulse``, if given, takes each
-    pulse's ``(1, n)`` intensity as the loop measures it (see
-    ``_run_batch``).
+    image (upright orientation, via the forward half pass), then, but
+    after the last pulse, completes the roundtrip with the mirrored
+    backward half pass to advance the field.  Both plates act once per
+    half pass with the same mask, so each phasor is built once, before
+    the pulse loop.  The trace keeps the per-pulse measurements;
+    ``on_pulse``, if given, takes each pulse's ``(1, n)`` intensity as
+    the loop measures it (see ``_run_batch``).
     """
     return _run_batch([config], on_pulse)[0]
 

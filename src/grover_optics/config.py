@@ -23,6 +23,7 @@ from .cavity import CavityConfig
 from .elements import TrapezoidPhasePlate
 from .errors import ConfigurationError
 from .fields import Grid1D
+from .reference import _check_counts
 
 __all__ = ["ExperimentConfig", "PRESET_NAMES", "build_config"]
 
@@ -56,8 +57,7 @@ class ReferenceSettings:
     diffusion_phase_rad: float = math.pi
 
     def __post_init__(self) -> None:
-        if self.n_marked > self.n_items:
-            raise ValueError("n_marked must not exceed n_items")
+        _check_counts(self.n_items, self.n_marked)
 
 
 @dataclass(frozen=True)

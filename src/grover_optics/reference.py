@@ -33,10 +33,10 @@ _NORM_GUARD = 1e-10
 def _check_counts(n_items: float, n_marked: float) -> None:
     if not (n_items > 0):
         raise ConfigurationError(f"n_items must be positive, got {n_items}")
-    if not (0 < n_marked <= n_items):
-        raise ConfigurationError(
-            f"n_marked must lie in (0, n_items], got {n_marked} with n_items {n_items}"
-        )
+    # The formulas take the square root of N/m, which must be a finite float.
+    if not (0 < n_marked <= n_items and n_items / n_marked < np.inf):
+        raise ConfigurationError(f"n_marked must lie in (0, n_items] with n_items / n_marked "
+                                 f"finite in float64, got {n_marked} with n_items {n_items}")
 
 
 @dataclass(frozen=True)

@@ -513,8 +513,8 @@ def _while_writing_profiles(kernel, cavities: list, paths: list[Path]) -> list:
     to ``paths``; returns the loop's traces.
 
     Each file holds, per pulse, one group of rows: the pulse's iteration
-    count, the grid coordinates, the intensity and the intensity times
-    the pulse's compensation factor.  The writer's set-up is its first
+    count, the grid coordinates, the intensity, and the intensity times
+    its cavity's compensation factor.  The writer's set-up is its first
     task, and each pulse is one more, which writes that pulse's rows to
     every file.  The loop copies each pulse's ``(B, n)`` intensities into
     one of ``_HANDOFF_ROWS`` buffers, and once that many pulses are
@@ -533,18 +533,19 @@ def _while_writing_profiles(kernel, cavities: list, paths: list[Path]) -> list:
     pending = []  # the pulses' futures, oldest first
 
     def set_up(files: ExitStack) -> tuple:
-        counts, compensation = _pulse_counts(cavities[0])
+        counts, _ = _pulse_counts(cavities[0])
+        compensations = [_pulse_counts(cavity)[1] for cavity in cavities]
         coordinates = cavities[0].grid.coordinates
         table = _TableWriter(coordinates.size, 2)
         cells = table.format(counts[:, None]), table.format(coordinates)
         handles = [files.enter_context(open(path, "wb")) for path in temporaries]
         for fh in handles:
             fh.write(_PROFILES_HEADER)
-        return table, cells, compensation, np.empty(coordinates.size), handles
+        return table, cells, compensations, np.empty(coordinates.size), handles
 
     def write(row: int, intensities: np.ndarray) -> None:
-        table, (count_cells, coordinate_cells), compensation, scaled, handles = setup.result()
-        for fh, line in zip(handles, intensities):
+        table, (count_cells, coordinate_cells), compensations, scaled, handles = setup.result()
+        for fh, line, compensation in zip(handles, intensities, compensations):
             # A lossless pulse's compensated column is its intensity
             # (line * 1.0 is line, bit for bit): one column to format.
             compensated = (line if compensation[row] == 1.0
@@ -616,9 +617,10 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     return summary
 
 
-# Bytes of complex128 field rows per batched kernel call: 2 rows at
-# 16384 samples, 8 at 4096, 1 at 65536.  Larger batches ran faster per
-# row, but their buffers raised a sweep's peak RSS beyond its budget.
+# Bytes of complex128 field rows per batched kernel call (each row's IAA
+# mask adds one row as large): 2 rows at 16384 samples, 8 at 4096, 1 at
+# 65536.  Larger batches ran faster per row, but their buffers raised a
+# sweep's peak RSS beyond its budget.
 _BATCH_BYTES = 512 * 1024
 
 

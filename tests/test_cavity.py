@@ -8,12 +8,14 @@ from grover_optics import (
     CavityConfig,
     ConfigurationError,
     Grid1D,
+    GroverReducedState,
     PeakTrace,
     TrapezoidPhasePlate,
     pulse_train,
     run_search,
     build_config,
     first_maximum,
+    reduced_iterate,
 )
 
 import oracle
@@ -202,30 +204,43 @@ class TestRunSearch:
         run_search(config)
         assert calls == [config.oracle_plate, config.iaa_plate]
 
-    def test_batch_builds_each_oracle_mask_and_one_iaa_mask(self, monkeypatch):
+    def test_batch_builds_one_oracle_and_one_iaa_mask_per_row(self, monkeypatch):
         calls = []
         original = elements.phase_profile
 
         def counted(plate, grid):
-            calls.append(plate)
+            calls.append((plate, grid))
             return original(plate, grid)
 
         monkeypatch.setattr(elements, "phase_profile", counted)
-        configs = [paper_cavity(flat_um, n_pulses=2, grid=Grid1D(4096, 2e-6))
-                   for flat_um in sorted(PAPER_PLATES)]
+        # Two rows share an IAA plate; each row still builds its own mask,
+        # the IAA one on its own Fourier grid (the wavelengths differ).
+        grid = Grid1D(4096, 2e-6)
+        configs = [
+            paper_cavity(42.0, n_pulses=2, grid=grid),
+            paper_cavity(84.0, n_pulses=2, grid=grid, wavelength=633e-9),
+            paper_cavity(126.0, n_pulses=2, grid=grid,
+                         iaa_plate=TrapezoidPhasePlate(0.0, 136e-6, 8e-6, -0.9)),
+        ]
         cavity._run_batch(configs)
-        assert calls == [config.oracle_plate for config in configs] + [configs[0].iaa_plate]
+        assert calls == ([(config.oracle_plate, grid) for config in configs]
+                         + [(config.iaa_plate, config.fourier_grid.as_grid())
+                            for config in configs])
 
     def test_analyze_sweep_points_batched_equal_single_runs_bit_for_bit(self):
-        # The benchmark's analyze sweep: three oracle widths at four
-        # centers, all twelve in one batch.
-        configs = [
-            build_config({"preset": "paper-42um", "grid_samples": 4096,
-                          "oracle": {"flat_width_um": flat_um, "center_um": center_um}}
-                         ).to_cavity_config()
-            for flat_um in (42.0, 84.0, 126.0)
-            for center_um in (-450.0, -150.0, 150.0, 450.0)
-        ]
+        # The benchmark's analyze sweep, three oracle widths at four
+        # centers, and a row for each other setting a batch lets differ,
+        # all in one batch.
+        points = [{"oracle": {"flat_width_um": flat_um, "center_um": center_um}}
+                  for flat_um in (42.0, 84.0, 126.0)
+                  for center_um in (-450.0, -150.0, 150.0, 450.0)]
+        points += [{"roundtrip_energy_factor": 1.0}, {"output_mirror_transmission": 0.5},
+                   {"iaa": {"phase_rad": -0.7, "flat_width_um": 100.0}},
+                   {"wavelength_nm": 633.0}, {"focal_length_1_mm": 300.0},
+                   {"input_fwhm_mm": 1.0, "slit_width_um": 30.0}]
+        configs = [build_config({"preset": "paper-42um", "grid_samples": 4096, **point}
+                                ).to_cavity_config()
+                   for point in points]
         names = ("iteration_counts", "peak_positions", "peak_values",
                  "compensated_peak_values", "total_energies", "slit_energies",
                  "peak_at_edge")
@@ -236,9 +251,13 @@ class TestRunSearch:
             for name in names:
                 assert np.array_equal(getattr(batched, name), getattr(single, name)), name
 
-    def test_batch_rejects_cavities_that_differ_beyond_the_oracle(self):
-        configs = [paper_cavity(42.0, n_pulses=2), paper_cavity(84.0, n_pulses=3)]
-        with pytest.raises(ValueError, match="oracle plate and input FWHM"):
+    @pytest.mark.parametrize("other", [dict(n_pulses=3), dict(grid=Grid1D(8192, 2e-6)),
+                                       dict(grid=Grid1D(4096, 1e-6))],
+                             ids=["n-pulses", "n-samples", "pitch"])
+    def test_batch_rejects_cavities_that_differ_in_grid_or_pulse_count(self, other):
+        first = dict(n_pulses=2, grid=Grid1D(4096, 2e-6))
+        configs = [paper_cavity(42.0, **first), paper_cavity(42.0, **{**first, **other})]
+        with pytest.raises(ValueError, match="share the grid and the pulse count"):
             cavity._run_batch(configs)
 
     def test_lossless_cavity_conserves_recorded_energy(self):
@@ -277,6 +296,60 @@ class TestReducedModelAgreement:
             worst = max(worst, abs(fraction - predicted))
             field = oracle.roundtrip(field, config)
         assert worst < 0.15
+
+    def test_mixed_batch_is_the_discrete_iterate_in_its_exact_limit(self, monkeypatch):
+        # A uniform beam, hard-edged oracles over m samples and an IAA
+        # plate that covers only the zero-frequency sample make each half
+        # pass exactly D(phi_iaa) O(phi_oracle) (Hoyer, PRA 62, 052304): the
+        # recorded half passes alternate D O and O D, since the flips
+        # commute with a zero-frequency plate.  So sample i of pulse j is
+        # transmission * loss**(j - 0.5) * |a_i|**2 / pitch, with a_i the
+        # marked or unmarked amplitude of ``reduced_iterate``.  Each row
+        # has its own oracle centre and width, phases, loss and
+        # transmission, all in one batch.
+        #
+        # The tolerance is 1e-12 of T * loss**(j - 0.5) / pitch, the
+        # intensity of a cell holding the whole pulse.  Pulse 20 is 39
+        # half passes of two orthonormal FFTs of 4096 samples, each of
+        # which errs by at most about 12 ulp of the field's norm, so the
+        # field errs by under 1e-13 of its norm, and a sample's intensity
+        # by under twice that.
+        n, pitch, n_pulses = 4096, 2e-6, 20
+        grid = Grid1D(n, pitch)
+        monkeypatch.setattr(cavity, "gaussian_input",
+                            lambda grid, fwhm: np.full(grid.n_samples,
+                                                       1 / np.sqrt(grid.extent), complex))
+        iaa_flat = 532e-9 * 0.4 / grid.extent / 2  # half the Fourier pitch
+        rows = [  # (centre in samples, m, oracle phase, IAA phase, loss, transmission)
+            (0, 63, -1.1, -1.1, 0.75, 0.02),
+            (75, 21, -1.1, -0.5, 0.9, 0.02),
+            (-150, 31, 0.7, -1.3, 1.0, 0.5),
+            (-50, 9, -np.pi / 2, -np.pi / 2, 0.6, 1.0),
+        ]
+        configs = [
+            CavityConfig(
+                oracle_plate=TrapezoidPhasePlate(centre * pitch, m * pitch, 0.0, phi_o),
+                iaa_plate=TrapezoidPhasePlate(0.0, iaa_flat, 0.0, phi_d),
+                roundtrip_energy_factor=loss, output_mirror_transmission=transmission,
+                grid=grid, n_pulses=n_pulses,
+            )
+            for centre, m, phi_o, phi_d, loss, transmission in rows
+        ]
+        _, profiles = recorded(configs)
+        for (centre, m, phi_o, phi_d, loss, transmission), pulses in zip(rows, profiles):
+            marked = np.zeros(n, dtype=bool)
+            marked[n // 2 + centre - m // 2:n // 2 + centre + m // 2 + 1] = True
+            state = GroverReducedState.uniform(n, m)
+            for j, profile in enumerate(pulses, start=1):
+                if j > 1:  # O D, then D O: the backward and the forward pass
+                    state = reduced_iterate(state, 0.0, phi_d)
+                    state = GroverReducedState(n, m, state.amp_marked * np.exp(1j * phi_o),
+                                               state.amp_unmarked)
+                state = reduced_iterate(state, phi_o, phi_d)
+                whole_pulse = transmission * loss ** (j - 0.5) / pitch
+                expected = whole_pulse * np.where(marked, abs(state.amp_marked) ** 2,
+                                                  abs(state.amp_unmarked) ** 2)
+                assert np.max(np.abs(profile - expected)) <= 1e-12 * whole_pulse, (centre, j)
 
 
 class TestGridConvergence:

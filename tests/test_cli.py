@@ -162,6 +162,26 @@ class TestErrorPaths:
         assert not out.exists()
         assert f"config error: {key}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entries", [
+        # Pulse 12's loss compensation overflows, and the pulse underflows.
+        {"preset": "paper-42um", "roundtrip_energy_factor": 1e-30, **SMALL_GRID},
+        {"preset": "paper-42um", "roundtrip_energy_factor": 5e-324, **SMALL_GRID},
+        # A finite compensation, but the last pulses underflow to 0.
+        {"preset": "paper-42um", "roundtrip_energy_factor": 1e-25,
+         "output_mirror_transmission": 1e-100, **SMALL_GRID},
+        # N/m overflows, and with it the reference summary's formulas.
+        {"mode": "reference", "reference": {"n_items": 1e300, "n_marked": 1e-10}},
+        {"mode": "reference", "reference": {"n_items": 32.0, "n_marked": 1e-320}},
+    ], ids=["loss-1e-30", "loss-5e-324", "loss-1e-25-transmission-1e-100",
+            "n-items-1e300", "n-marked-1e-320"])
+    def test_run_beyond_float64_range_exits_2_before_writing(self, tmp_path, capsys,
+                                                             entries):
+        cfg = write_config(tmp_path, **entries)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "float64" in capsys.readouterr().err
+
     def test_int_echoes_as_float_and_integral_float_as_int(self, tmp_path):
         cfg = write_config(tmp_path, preset="paper-42um", grid_samples=4096.0,
                            focal_length_2_mm=600)

@@ -70,6 +70,22 @@ CASES = {
         },
         ("sweep.csv", "sweep_summary.json"),
     ),
+    # One batch of four points that mixes lossy and lossless rows and two
+    # IAA phases, so each file's compensated column is its own point's.
+    "sweep-search-iaa-loss": (
+        "sweep",
+        {
+            "preset": "paper-42um",
+            "mode": "search",
+            **SMALL_GRID,
+            "sweep": [
+                {"parameter": "iaa.phase_rad", "values": [-1.1, -0.9]},
+                {"parameter": "roundtrip_energy_factor", "values": [0.75, 1.0]},
+            ],
+        },
+        ("sweep.csv", "sweep_summary.json",
+         *(f"point_{i:03d}/{file}" for i in range(4) for file in ("profiles.csv", "peaks.csv"))),
+    ),
 }
 
 

@@ -91,30 +91,42 @@ TRACE_FIELDS = ("iteration_counts", "peak_positions", "peak_values",
                 "peak_at_edge")
 
 
+# Per row: roundtrip_energy_factor, output_mirror_transmission,
+# wavelength and focal_length_1.
+row_settings = st.tuples(st.floats(min_value=0.05, max_value=1.0),
+                         st.floats(min_value=0.01, max_value=1.0),
+                         st.floats(min_value=400e-9, max_value=1100e-9),
+                         st.floats(min_value=0.1, max_value=1.0))
+
+
 @settings(deadline=None)
-@given(n=sizes, rows=st.integers(min_value=1, max_value=5), seed=seeds,
-       factor=st.floats(min_value=0.05, max_value=1.0),
-       n_pulses=st.integers(min_value=1, max_value=3))
-def test_batched_kernel_is_the_one_row_kernel_bit_for_bit(n, rows, seed, factor, n_pulses):
+@given(n=sizes, seed=seeds, n_pulses=st.integers(min_value=1, max_value=3),
+       settings_by_row=st.lists(row_settings, min_size=1, max_size=5))
+def test_batched_kernel_is_the_one_row_kernel_bit_for_bit(n, seed, n_pulses,
+                                                          settings_by_row):
+    # Rows differ in both plates, the input FWHM, the loss, the
+    # transmission, the wavelength and the first focal length (the slit
+    # test below varies the slit).
     # Plates that fit any of these grids, told apart by their depth; the
     # kernel sees random phasors in their place (a plate phasor is 1 off
     # its support, where the operand order of a multiply cannot show).
     grid = Grid1D(n, 2e-6)
-    iaa_plate = TrapezoidPhasePlate(center=0.0, flat_width=1e-6, ramp_width=0.0,
-                                    phase_depth=0.0)
-    oracle_plates = [
-        TrapezoidPhasePlate(center=0.0, flat_width=1e-6, ramp_width=0.0,
-                            phase_depth=0.1 * (k + 1))
-        for k in range(rows)
+    plates = [
+        [TrapezoidPhasePlate(center=0.0, flat_width=1e-6, ramp_width=0.0,
+                             phase_depth=0.1 * (k + 1) * sign)
+         for sign in (1, -1)]
+        for k in range(len(settings_by_row))
     ]
     rng = np.random.default_rng(seed)
     phasors = {plate: np.exp(1j * rng.uniform(-np.pi, np.pi, n))
-               for plate in (iaa_plate, *oracle_plates)}
+               for pair in plates for plate in pair}
     configs = [
-        CavityConfig(oracle_plate=plate, iaa_plate=iaa_plate,
+        CavityConfig(oracle_plate=oracle_plate, iaa_plate=iaa_plate,
                      input_fwhm=grid.extent / (6 + k), roundtrip_energy_factor=factor,
-                     grid=grid, n_pulses=n_pulses)
-        for k, plate in enumerate(oracle_plates)
+                     output_mirror_transmission=transmission, wavelength=wavelength,
+                     focal_length_1=focal_length, grid=grid, n_pulses=n_pulses)
+        for k, ((oracle_plate, iaa_plate), (factor, transmission, wavelength, focal_length))
+        in enumerate(zip(plates, settings_by_row))
     ]
     with mock.patch.object(cavity, "plate_phasor",
                            lambda plate, grid: phasors[plate]):

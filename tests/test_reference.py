@@ -57,6 +57,8 @@ class TestStates:
             GroverReducedState.uniform(0, 1)
         with pytest.raises(ConfigurationError):
             GroverReducedState.uniform(8, 9)
+        with pytest.raises(ConfigurationError, match="finite in float64"):
+            oscillation_period(1e300, 1e-10)
 
 
 class TestIterates:

@@ -307,6 +307,14 @@ def test_batch_chunks_split_incompatible_points():
     assert _batch_chunks(cavities) == [[0, 2, 4], [1, 3, 5]]
 
 
+def test_batch_chunks_join_points_that_share_the_grid_and_pulse_count():
+    cavities = sweep_cavities(4096, [42.0], roundtrip_energy_factor=1.0)
+    for overrides in ({"iaa": {"phase_rad": -0.5}}, {"output_mirror_transmission": 0.5},
+                      {"wavelength_nm": 633.0}, {"focal_length_1_mm": 300.0}):
+        cavities += sweep_cavities(4096, [84.0], **overrides)
+    assert _batch_chunks(cavities) == [[0, 1, 2, 3, 4]]
+
+
 def test_pulse_train_sweep_averages_the_defined_ratios():
     assert runner._sweep_scalars(
         "pulse-train", {"consecutive_energy_ratios": [None, 0.5, 0.7]}
