@@ -48,10 +48,13 @@ class PeakTrace:
 def first_maximum(trace: PeakTrace) -> float:
     """Iteration count of the first local maximum of the peak values.
 
-    The discrete maximum is refined by fitting a parabola through the
-    three bracketing samples, so half-integer results are meaningful
-    even at unit pulse spacing.  Raises MeasurementError when the trace
-    has no interior maximum (run more pulses).
+    The discrete maximum is refined to the vertex of the parabola through
+    the three bracketing samples, so half-integer results are meaningful
+    even at unit pulse spacing.  With steps h0 and h1 on either side of
+    sample i, a = h0 (v[i] - v[i+1]) > 0 and b = h1 (v[i] - v[i-1]) >= 0,
+    the vertex t[i] + (h1 b - h0 a) / (2 (a + b)) lies within half a step
+    of t[i].  Raises MeasurementError when the trace has no interior
+    maximum (run more pulses).
     """
     t = trace.iteration_counts
     v = trace.peak_values
@@ -59,12 +62,9 @@ def first_maximum(trace: PeakTrace) -> float:
         raise MeasurementError("need at least 3 trace points to locate a maximum")
     for i in range(1, t.size - 1):
         if v[i - 1] <= v[i] > v[i + 1]:
-            coeffs = np.polyfit(t[i - 1 : i + 2], v[i - 1 : i + 2], 2)
-            if coeffs[0] < 0:
-                vertex = -coeffs[1] / (2.0 * coeffs[0])
-                if t[i - 1] <= vertex <= t[i + 1]:
-                    return float(vertex)
-            return float(t[i])
+            h0, h1 = t[i] - t[i - 1], t[i + 1] - t[i]
+            a, b = h0 * (v[i] - v[i + 1]), h1 * (v[i] - v[i - 1])
+            return float(t[i] + (h1 * b - h0 * a) / (2.0 * (a + b)))
     raise MeasurementError(
         "peak values have no interior maximum; extend the run to cover one"
     )

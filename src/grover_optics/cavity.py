@@ -45,12 +45,12 @@ of one.
 Each pulse is measured in the loop, row by row, on its intensity: the
 brightest sample, the lobe center, the total energy and the energy
 through the detection slit.  The loop then hands the pulse's ``(B, n)``
-intensities to the caller's ``on_pulse``, if any, and overwrites them
-with the next pulse: the CLI's search mode writes ``profiles.csv`` from
-that hand-off on a second thread while the loop runs (see
-``runner``), so no ``(B, P, n)`` array is built.  The hand-off is the
-only way a profile leaves the loop; a trace keeps the measurements, and
-the pulse train reads its slit energies off it.
+intensities, a new array each pulse, to the caller's ``on_pulse``, if
+any: the CLI's search mode writes ``profiles.csv`` from that hand-off
+on a second thread while the loop runs (see ``runner``), so no
+``(B, P, n)`` array is built.  The hand-off is the only way a profile
+leaves the loop; a trace keeps the measurements, and the pulse train
+reads its slit energies off it.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -268,11 +268,7 @@ def _run_batch(configs: list[CavityConfig], on_pulse=None) -> list[SearchTrace]:
     layout).  All arithmetic is row-wise, so each row's trace is
     bit-identical to running its config alone.  After measuring pulse
     ``row`` the loop calls ``on_pulse(row, intensities)`` with the
-    ``(B, n)`` centered intensities, a buffer the next pulse overwrites.
-    A row's slit energy is ``np.sum(line * overlap)`` of its intensity
-    line and slit overlap, with the product written into one reused
-    buffer: the operands and the full-length sum of a handed-off
-    profile, so the same bits.
+    ``(B, n)`` centered intensities, a new array that the caller owns.
     """
     first = configs[0]
     if any(_batch_key(config) != _batch_key(first) for config in configs):
@@ -296,9 +292,7 @@ def _run_batch(configs: list[CavityConfig], on_pulse=None) -> list[SearchTrace]:
     field = np.empty_like(circulating)
     spectrum = np.empty_like(circulating)
     power = np.empty((rows, n))
-    intensities = np.empty((rows, n))
     overlaps = [_window_overlap(c.grid, *c.slit_window) for c in configs]
-    weighted = np.empty(n)
     for row in range(n_pulses):
         # Forward half pass, recorded in upright (oracle) orientation.
         # Every plate multiply puts the phasor first: the vectorized
@@ -313,13 +307,13 @@ def _run_batch(configs: list[CavityConfig], on_pulse=None) -> list[SearchTrace]:
         np.abs(field, out=power)
         np.square(power, out=power)
         np.multiply(power, transmission, out=power)
-        np.concatenate((power[:, half:], power[:, :half]), axis=-1, out=intensities)
+        intensities = np.concatenate((power[:, half:], power[:, :half]), axis=-1)
         for b, line in enumerate(intensities):
             idx = int(np.argmax(line))
             peak_positions[b, row] = _lobe_center(line, coords, idx)
             peak_values[b, row] = line[idx]
             energies[b, row] = float(np.sum(line) * pitch)
-            slit_energies[b, row] = np.sum(np.multiply(line, overlaps[b], out=weighted))
+            slit_energies[b, row] = np.sum(line * overlaps[b])
             at_edge[b, row] = idx in (0, n - 1)
         if on_pulse is not None:
             on_pulse(row, intensities)
@@ -354,7 +348,7 @@ def run_search(config: CavityConfig, on_pulse=None) -> SearchTrace:
     half pass with the same mask, so each phasor is built once, before
     the pulse loop.  The trace keeps the per-pulse measurements;
     ``on_pulse``, if given, takes each pulse's ``(1, n)`` intensity as
-    the loop measures it (see ``_run_batch``).
+    the loop measures it, a new array that the caller may keep.
     """
     return _run_batch([config], on_pulse)[0]
 

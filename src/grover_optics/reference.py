@@ -113,7 +113,8 @@ def optimal_iterations(n_items: float, n_marked: float, phase_per_pass: float) -
 
     ``phase_per_pass`` is the single-pass plate phase; the reduced
     per-pass phase lengthens the optimum from (pi/4)sqrt(N/m) to
-    pi/(4 sin|phase|) * sqrt(N/m).
+    pi/(4 sin|phase|) * sqrt(N/m).  Raises ConfigurationError when that
+    exceeds float64's range, as a tiny phase with a large N/m can.
     """
     _check_counts(n_items, n_marked)
     magnitude = abs(phase_per_pass)
@@ -121,9 +122,14 @@ def optimal_iterations(n_items: float, n_marked: float, phase_per_pass: float) -
         raise ConfigurationError(
             f"phase_per_pass magnitude must lie in (0, pi/2], got {phase_per_pass}"
         )
-    return float(
-        np.pi / (4.0 * np.sin(magnitude)) * np.sqrt(n_items / n_marked)
-    )
+    with np.errstate(over="ignore"):
+        count = np.pi / (4.0 * np.sin(magnitude)) * np.sqrt(n_items / n_marked)
+    if not np.isfinite(count):
+        raise ConfigurationError(
+            f"the optimum exceeds float64's range at phase_per_pass {phase_per_pass} "
+            f"with N/m {n_items / n_marked}"
+        )
+    return float(count)
 
 
 def oscillation_period(n_items: float, n_marked: float) -> float:

@@ -272,11 +272,6 @@ _OFFSETS = np.repeat(4 * np.arange(_SPAN, dtype=np.intp), _CELL_BYTES).reshape(
     _SPAN, _CELL_BYTES)
 
 
-def _rows(array: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows ``start:stop`` of a column part, or its one row, repeated."""
-    return array[start:stop] if len(array) > 1 else array
-
-
 class _TableWriter:
     """Writes CSV rows of float64 columns at 9 significant digits.
 
@@ -284,7 +279,7 @@ class _TableWriter:
     group of ``rows`` rows per ``write`` call, a block of rows at a time
     through one formatter call.  A column is a float64 array, formatted
     in that call, or cells that ``format`` spelled ahead for a column
-    that every group repeats.  A block row lays each column's cell at
+    that groups repeat.  A block row lays each column's cell at
     that column's width, NUL-padded and followed by its separator, and
     is compacted with ``bytes.translate``: 16 bytes for a formatted
     column, the longest text for a spelled one.  Cells are copied as
@@ -327,8 +322,7 @@ class _TableWriter:
 
         A column is either the cells of ``format`` or a float64 array,
         formatted a block at a time; an array passed as two columns is
-        formatted once.  Each holds ``rows`` entries, or one that every
-        row repeats.
+        formatted once.  Each holds ``rows`` entries.
         """
         distinct: dict[int, tuple] = {}  # id(array) -> (slot, array)
         slots = [distinct.setdefault(id(column), (len(distinct), column))[0]
@@ -343,12 +337,11 @@ class _TableWriter:
             n = stop - start
             values, cells = self.values[:n * k].reshape(n, k), self.cells[:n * k]
             for slot, array in distinct.values():
-                values[:, slot] = _rows(array, start, stop)
+                values[:, slot] = array[start:stop]
             self.formatter(values, cells)
             formatted = cells.view(f"V{_CELL_BYTES}").reshape(n, k)
             for out, column, slot in zip(self.slots, columns, slots):
-                out[:n] = (_rows(column, start, stop) if slot is None
-                           else formatted[:, slot])
+                out[:n] = column[start:stop] if slot is None else formatted[:, slot]
             fh.write(self.block[:n].tobytes().translate(None, b"\0"))
 
 
@@ -516,11 +509,11 @@ def _while_writing_profiles(kernel, cavities: list, paths: list[Path]) -> list:
     count, the grid coordinates, the intensity, and the intensity times
     its cavity's compensation factor.  The writer's set-up is its first
     task, and each pulse is one more, which writes that pulse's rows to
-    every file.  The loop copies each pulse's ``(B, n)`` intensities into
-    one of ``_HANDOFF_ROWS`` buffers, and once that many pulses are
-    pending it first waits for the oldest, whose buffer it refills.  A
-    writer error is raised at the loop's next wait, so it stops the loop
-    within ``_HANDOFF_ROWS`` pulses; a loop error, or an interrupt,
+    every file.  The loop hands over each pulse's ``(B, n)`` intensities
+    as they are, and once ``_HANDOFF_ROWS`` pulses are pending it first
+    waits for the oldest.  A writer error is raised at the loop's next
+    wait, so it stops the loop within ``_HANDOFF_ROWS`` pulses; a loop
+    error, or an interrupt,
     cancels the pulses the writer has not begun.  Either way the
     writer thread has ended when this returns.  The files are written
     under temporary sibling names and moved onto ``paths`` only once the
@@ -528,8 +521,6 @@ def _while_writing_profiles(kernel, cavities: list, paths: list[Path]) -> list:
     temporaries are removed, so a failed run leaves no ``profiles.csv``.
     """
     temporaries = [path.with_name(path.name + ".tmp") for path in paths]
-    buffers = [np.empty((len(cavities), cavities[0].grid.n_samples))
-               for _ in range(_HANDOFF_ROWS)]
     pending = []  # the pulses' futures, oldest first
 
     def set_up(files: ExitStack) -> tuple:
@@ -541,23 +532,21 @@ def _while_writing_profiles(kernel, cavities: list, paths: list[Path]) -> list:
         handles = [files.enter_context(open(path, "wb")) for path in temporaries]
         for fh in handles:
             fh.write(_PROFILES_HEADER)
-        return table, cells, compensations, np.empty(coordinates.size), handles
+        return table, cells, compensations, handles
 
     def write(row: int, intensities: np.ndarray) -> None:
-        table, (count_cells, coordinate_cells), compensations, scaled, handles = setup.result()
+        table, (count_cells, coordinate_cells), compensations, handles = setup.result()
         for fh, line, compensation in zip(handles, intensities, compensations):
             # A lossless pulse's compensated column is its intensity
             # (line * 1.0 is line, bit for bit): one column to format.
-            compensated = (line if compensation[row] == 1.0
-                           else np.multiply(line, compensation[row], out=scaled))
-            table.write(fh, [count_cells[row], coordinate_cells, line, compensated])
+            compensated = line if compensation[row] == 1.0 else line * compensation[row]
+            count = np.broadcast_to(count_cells[row], line.shape)
+            table.write(fh, [count, coordinate_cells, line, compensated])
 
     def hand_off(row: int, intensities: np.ndarray) -> None:
         if len(pending) == _HANDOFF_ROWS:
             pending.pop(0).result()
-        buffer = buffers[row % _HANDOFF_ROWS]
-        np.copyto(buffer, intensities)
-        pending.append(writer.submit(write, row, buffer))
+        pending.append(writer.submit(write, row, intensities))
 
     try:
         with ExitStack() as files, ThreadPoolExecutor(1, "profiles-writer") as writer:

@@ -64,10 +64,9 @@ def ideal_cavity(flat_um: float = 42.0, n_pulses: int = 30, **overrides) -> Cavi
 
 def recorded(configs: list) -> tuple[list, np.ndarray]:
     """The traces of the pulse loop over ``configs`` (``_run_batch``) and
-    the ``(B, P, n)`` profiles it hands to ``on_pulse``, each pulse copied
-    before the loop overwrites it."""
+    the ``(B, P, n)`` profiles it hands to ``on_pulse``, one array a pulse."""
     pulses = []
-    traces = cavity._run_batch(configs, lambda row, intensities: pulses.append(intensities.copy()))
+    traces = cavity._run_batch(configs, lambda row, intensities: pulses.append(intensities))
     return traces, np.stack(pulses, axis=1)
 
 

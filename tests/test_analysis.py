@@ -65,6 +65,13 @@ class TestFirstMaximum:
         found = first_maximum(synthetic_trace(counts, values))
         assert abs(found - optimal_iterations(n_items, 1, np.pi / 2)) <= 0.5
 
+    def test_vertex_on_uneven_steps_with_a_plateau(self):
+        # Samples (1, 2), (3, 2) and (4, 0): h0 = 2, h1 = 1, a = 2 * (2 - 0)
+        # = 4 and b = 1 * (2 - 2) = 0, so the vertex is 3 + (0 - 8) / 8 = 2,
+        # midway along the plateau.
+        trace = synthetic_trace([0.0, 1.0, 3.0, 4.0], [1.0, 2.0, 2.0, 0.0])
+        assert first_maximum(trace) == 2.0
+
     def test_first_of_several_maxima_wins(self):
         counts = np.arange(10, dtype=float)
         values = np.array([0.1, 0.9, 0.2, 0.1, 0.3, 1.5, 0.2, 0.1, 0.05, 0.0])

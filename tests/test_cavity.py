@@ -67,6 +67,33 @@ class TestGroverIterate:
 
 
 class TestRunSearch:
+    def test_on_pulse_arrays_are_the_callers_to_keep(self):
+        # Kept without a copy, each handed-over array still holds its own
+        # pulse once the run has ended.
+        config = paper_cavity(42.0, n_pulses=4, grid=Grid1D(4096, 2e-6))
+        kept = []
+        run_search(config, on_pulse=lambda row, intensities: kept.append(intensities))
+        assert [line.shape for line in kept] == [(1, 4096)] * 4
+        assert np.array_equal(np.concatenate(kept), oracle.profiles(config))
+
+    @pytest.mark.parametrize("lit", [0, 4095], ids=["first", "last"])
+    def test_peak_on_either_end_sample_is_flagged(self, lit, monkeypatch):
+        # Zero-phase plates reimage the input every pulse, so a line lit
+        # at one end sample peaks there on every pulse.
+        def end_lit(grid, fwhm):
+            line = np.zeros(grid.n_samples, complex)
+            line[lit] = 1 / np.sqrt(grid.pitch)
+            return line
+
+        monkeypatch.setattr(cavity, "gaussian_input", end_lit)
+        trace = run_search(disabled_cavity(n_pulses=3, grid=Grid1D(4096, 2e-6)))
+        assert trace.peak_at_edge.tolist() == [True] * 3
+
+    def test_lobe_takes_the_samples_at_exactly_half_maximum(self):
+        # The half-maximum region is 1..4: both walks take a sample of 2.
+        intensity = np.array([0.0, 2.0, 4.0, 2.0, 2.0, 0.0])
+        assert cavity._lobe_center(intensity, np.arange(6.0), 2) == pytest.approx(2.4)
+
     def test_trace_layout(self):
         config = paper_cavity(42.0)
         (trace,), (profiles,) = recorded([config])

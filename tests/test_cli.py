@@ -112,6 +112,15 @@ class TestRunCommand:
         assert "N/m estimate unavailable" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, value", [
+    ("true", True), ("1", True), ("yes", True), ("on", True),
+    ("false", False), ("0", False), ("no", False), ("off", False),
+])
+def test_every_bool_spelling_parses(text, value):
+    assert cli._parse_bool(f" {text.upper()} ") is value
+    assert cli._parse_bool(text) is value
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize("content", [b'{"n_pulses": ', b"\xff", b"[" * 100000],
                              ids=["truncated", "not-utf8", "nested-too-deep"])
@@ -290,6 +299,20 @@ class TestReferenceCommand:
         assert summary["optimal_iterations"] is None
         assert summary["warnings"][0].startswith("optimal_iterations unavailable:")
         assert "(optimum unavailable)" in capsys.readouterr().out
+
+    def test_reference_optimum_beyond_float64_range_writes_null(self, tmp_path, capsys):
+        # pi / (4 sin 5e-301) * sqrt(1e300) overflows; every other number
+        # of the run is finite and still written.
+        cfg = write_config(tmp_path, mode="reference",
+                           reference={"n_items": 1e300, "oracle_phase_rad": 1e-300})
+        out = tmp_path / "out"
+        assert main(["reference", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["optimal_iterations"] is None
+        assert len(summary["warnings"]) == 1
+        assert summary["warnings"][0].startswith("optimal_iterations unavailable:")
+        assert summary["oscillation_period"] == pytest.approx(np.pi / 2 * 1e150)
+        assert capsys.readouterr().err == ""
 
 
 def sweep_files(out_dir):

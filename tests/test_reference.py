@@ -51,6 +51,9 @@ class TestStates:
     def test_unnormalized_states_rejected(self):
         with pytest.raises(ConfigurationError, match="norm"):
             GroverReducedState(4, 1, 1.0 + 0j, 1.0 + 0j)
+        amp = complex(np.sqrt((1 + 1e-6) / 4))  # norm 1 + 1e-6
+        with pytest.raises(ConfigurationError, match="norm"):
+            GroverReducedState(4, 1, amp, amp)
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ConfigurationError):

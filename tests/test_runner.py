@@ -129,7 +129,7 @@ def test_profile_blocks_match_savetxt_across_block_edges(tmp_path, n_samples, lo
 
 
 def test_preformatted_columns_match_savetxt_at_their_own_widths(tmp_path):
-    # Pre-formatted columns of 1-byte and 16-byte texts, a repeated one
+    # Pre-formatted columns of 1-byte and 16-byte texts, a broadcast one
     # among them, laid beside formatted ones across a block edge; the
     # array passed twice is formatted once.
     n_rows = 4097
@@ -137,7 +137,8 @@ def test_preformatted_columns_match_savetxt_at_their_own_widths(tmp_path):
     live = edge_table(n_rows, 1, seed=7)[:, 0]
     half = live * 0.5
     table = runner._TableWriter(n_rows, 2)
-    zeros, wide, one = table.format(np.zeros(n_rows)), table.format(longest), table.format([0.0])
+    zeros, wide = table.format(np.zeros(n_rows)), table.format(longest)
+    one = np.broadcast_to(table.format([0.0]), (n_rows,))
     assert (zeros.dtype.itemsize, wide.dtype.itemsize, one.dtype.itemsize) == (1, 16, 1)
     with open(tmp_path / "got.csv", "wb") as fh:
         fh.write(b"a,b,c,d,e,f\n")
@@ -245,9 +246,10 @@ def test_lossless_search_formats_one_live_profile_column(tmp_path, monkeypatch, 
 # What the profiles.csv writer may add to the tracemalloc peak of a
 # default-grid paper-42um run: the search run against the analyze run,
 # which runs the same pulse loop and writes no profiles.  Its buffers
-# for one 4096-row block, the hand-off rows and the count and coordinate
-# cells measure 1,974,477 bytes (numpy 2.4.6); a formatter that made a
-# temporary per step, with an index as long as its chunk, took 3,514,262.
+# for one 4096-row block, the pulses pending at the hand-off and the
+# count and coordinate cells measure 1,972,501 to 2,104,197 bytes (numpy
+# 2.4.6); a formatter that made a temporary per step, with an index as
+# long as its chunk, took 3,514,262.
 WRITER_BUDGET = 2.5 * 1024 * 1024
 
 
